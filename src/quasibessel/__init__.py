@@ -30,8 +30,8 @@ from .equation import (
     uniqueness_bound,
     validate,
 )
-from .gammafn import GammaPoleError, SignedLogGamma, gamma_ratio, signed_log_gamma
-from .rational import Rational, as_rational, decimal_string, gcf, lcd, parse_decimal
+from .gammafn import GammaPoleError, gamma_ratio, signed_log_gamma
+from .rational import Rational, as_rational, gcf, lcd, parse_decimal
 from .series import (
     CancellationWarning,
     DenominatorPoleError,
@@ -68,7 +68,6 @@ __all__ = [
     "RootSearchWarning",
     "RootStatus",
     "SeriesSolution",
-    "SignedLogGamma",
     "StepPlan",
     "Term",
     "ValidationIssue",
@@ -79,7 +78,6 @@ __all__ = [
     "caputo_integer_exponents",
     "characteristic_value",
     "compute_step",
-    "decimal_string",
     "evaluate",
     "find_roots",
     "frac_derivative_power",

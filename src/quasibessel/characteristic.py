@@ -20,12 +20,11 @@ conditions are recorded on the root rather than silently dropped.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from .equation import DerivativeKind, QuasiBesselEquation, is_integer_order
+from .equation import DerivativeKind, QuasiBesselEquation, ceil_order
 from .gammafn import TAU_POLE, gamma_ratio
 from .series import StepPlan
 
@@ -245,10 +244,5 @@ def caputo_integer_exponents(eq: QuasiBesselEquation) -> List[int]:
         return []
     if eq.m1 == 0:
         return []
-    limit = min(
-        int(math.ceil(eq.terms[i].alpha))
-        if not is_integer_order(eq.terms[i].alpha)
-        else int(round(eq.terms[i].alpha))
-        for i in eq.pure_indices
-    )
+    limit = min(ceil_order(eq.terms[i].alpha) for i in eq.pure_indices)
     return list(range(0, max(limit, 0)))

@@ -96,6 +96,19 @@ def _as_float(value: object, what: str) -> float:
         raise SpecFileError(f"{what} is not a number: {value!r}") from None
 
 
+def _as_int(value: object, what: str) -> int:
+    number = _as_float(value, what)
+    if not number.is_integer():
+        raise SpecFileError(f"{what} is not an integer: {value!r}")
+    return int(number)
+
+
+def _as_object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecFileError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def load_spec(path: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -167,10 +180,10 @@ def build_equation(spec: dict) -> QuasiBesselEquation:
 
 
 def _domain_grid(spec: dict) -> Tuple[float, float, List[float]]:
-    domain = _require(spec, "domain")
+    domain = _as_object(_require(spec, "domain"), "'domain'")
     x_min = _as_float(_require(domain, "x_min"), "x_min")
     x_max = _as_float(_require(domain, "x_max"), "x_max")
-    n_points = int(_require(domain, "n_points"))
+    n_points = _as_int(_require(domain, "n_points"), "n_points")
     if x_min <= 0 or x_max < x_min:
         raise SpecFileError(f"need 0 < x_min <= x_max, got [{x_min}, {x_max}]")
     if n_points < 1:
@@ -179,6 +192,22 @@ def _domain_grid(spec: dict) -> Tuple[float, float, List[float]]:
         return x_min, x_max, [x_min]
     h = (x_max - x_min) / (n_points - 1)
     return x_min, x_max, [x_min + i * h for i in range(n_points)]
+
+
+def _options(
+    spec: dict, max_terms: Optional[int], eps_tail: Optional[float]
+) -> Tuple[float, int, float]:
+    """c0, the truncation cap and the tail tolerance; the command-line
+    overrides, when given, replace the spec's values."""
+    options = _as_object(spec.get("options", {}), "'options'")
+    c0 = _as_float(options.get("c0", "1"), "c0")
+    if max_terms is None:
+        max_terms = _as_int(options.get("n_terms_max", MAX_TERMS), "n_terms_max")
+    if eps_tail is None:
+        eps_tail = _as_float(options.get("eps_tail", repr(EPS_TAIL)), "eps_tail")
+    if not eps_tail > 0:
+        raise SpecFileError(f"eps_tail must be positive, got {eps_tail!r}")
+    return c0, max_terms, eps_tail
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
@@ -215,10 +244,10 @@ def _oracle_check(eq, sol: SeriesSolution, xs: Sequence[float]) -> Optional[str]
     t = eq.terms[0]
     params, lam = kilbas_saigo_for_single_term(t.alpha, sol.s, sol.gamma, t.d)
     n_terms = max(80, len(sol.coefficients))
+    closed = kilbas_saigo(params, [lam * x**sol.s for x in xs], n_terms)
     worst = 0.0
-    for x, u in zip(xs, evaluate(sol, xs)):
-        ref = sol.c0 * x**sol.gamma * kilbas_saigo(params, lam * x**sol.s, n_terms)
-        worst = max(worst, abs(u - ref))
+    for x, u, e in zip(xs, evaluate(sol, xs), closed):
+        worst = max(worst, abs(u - sol.c0 * x**sol.gamma * e))
     return (
         f"oracle: max |series - c0 x^gamma E_({_pretty(params.alpha)},{_pretty(params.m)},"
         f"{_pretty(params.l)})({_pretty(lam)} x^{_pretty(sol.s)})| = {_pretty(worst)}"
@@ -238,14 +267,10 @@ def solve_command(
         spec = load_spec(spec_path)
         eq = build_equation(spec)
         x_min, x_max, xs = _domain_grid(spec)
+        c0, n_terms_max, tail_eps = _options(spec, max_terms, eps_tail)
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    options = spec.get("options", {})
-    c0 = _as_float(options.get("c0", "1"), "c0")
-    n_terms_max = max_terms if max_terms is not None else int(options.get("n_terms_max", MAX_TERMS))
-    tail_eps = eps_tail if eps_tail is not None else _as_float(options.get("eps_tail", repr(EPS_TAIL)), "eps_tail")
 
     report: List[str] = [
         f"quasibessel {__version__} solver report",
@@ -296,11 +321,6 @@ def solve_command(
     roots = screen_collisions(roots, plan)
 
     output_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        output_dir / "roots.csv",
-        ["gamma", "status", "collision_step", "G"],
-        _root_rows(eq, roots),
-    )
 
     report += ["", "roots:"]
     for k, root in enumerate(roots):
@@ -339,11 +359,11 @@ def solve_command(
     if root_index is not None:
         valid = [(k, r) for k, r in valid if k == root_index]
         if not valid:
-            _finish(output_dir, report, warning_lines)
+            _finish(output_dir, eq, roots, report, warning_lines)
             print(f"error: --root {root_index} is not a valid root index", file=sys.stderr)
             return EXIT_NO_ROOTS
     if not valid:
-        _finish(output_dir, report, warning_lines)
+        _finish(output_dir, eq, roots, report, warning_lines)
         print("error: no valid characteristic roots; no series solution exists", file=sys.stderr)
         return EXIT_NO_ROOTS
 
@@ -406,13 +426,6 @@ def solve_command(
                 )
         outcomes.append(outcome)
 
-    # rewrite roots.csv if statuses changed during the build
-    _write_csv(
-        output_dir / "roots.csv",
-        ["gamma", "status", "collision_step", "G"],
-        _root_rows(eq, roots),
-    )
-
     report += ["", "series solutions:"]
     built = []
     for outcome in outcomes:
@@ -432,7 +445,7 @@ def solve_command(
         if outcome.oracle_line:
             report.append(f"  root [{k}]: {outcome.oracle_line}")
 
-    _finish(output_dir, report, warning_lines)
+    _finish(output_dir, eq, roots, report, warning_lines)
 
     if not built:
         print("error: every valid root failed numerically", file=sys.stderr)
@@ -443,7 +456,19 @@ def solve_command(
     return EXIT_OK
 
 
-def _finish(output_dir: Path, report: List[str], warning_lines: List[str]) -> None:
+def _finish(
+    output_dir: Path,
+    eq: QuasiBesselEquation,
+    roots: Sequence[CharacteristicRoot],
+    report: List[str],
+    warning_lines: List[str],
+) -> None:
+    """Write roots.csv, with the statuses the series build left, and report.txt."""
+    _write_csv(
+        output_dir / "roots.csv",
+        ["gamma", "status", "collision_step", "G"],
+        _root_rows(eq, roots),
+    )
     report = list(report)
     report.append("")
     if warning_lines:

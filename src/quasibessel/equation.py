@@ -336,10 +336,6 @@ def uniqueness_bound(eq: QuasiBesselEquation, b: float) -> float:
 # -- reductions to quasi-Bessel form --------------------------------------
 
 
-def _sorted_exact(pairs, key_index):
-    return sorted(pairs, key=lambda item: item[key_index], reverse=True)
-
-
 def from_constant_coefficients(
     coeffs: Sequence[Tuple[float, RationalLike]],
     r: float = 1.0,
@@ -355,7 +351,7 @@ def from_constant_coefficients(
     if not coeffs:
         raise ValueError("need at least one derivative term")
     exact = [(float(d), as_rational(a)) for d, a in coeffs]
-    exact = _sorted_exact(exact, 1)
+    exact.sort(key=lambda t: t[1], reverse=True)
     a1 = exact[0][1]
     if a1 <= 0:
         raise ValueError(f"highest derivative order must be positive, got {a1}")
@@ -391,7 +387,7 @@ def from_power_factors(
     if not triples:
         raise ValueError("need at least one derivative term")
     exact = [(float(d), as_rational(b), as_rational(a)) for d, b, a in triples]
-    exact = _sorted_exact(exact, 2)
+    exact.sort(key=lambda t: t[2], reverse=True)
     _, b1, a1 = exact[0]
     if a1 <= 0:
         raise ValueError(f"highest derivative order must be positive, got {a1}")

@@ -22,7 +22,6 @@ __all__ = [
     "as_rational",
     "lcd",
     "gcf",
-    "decimal_string",
 ]
 
 Rational = Fraction
@@ -85,31 +84,3 @@ def gcf(values: Iterable[int]) -> int:
     if any(v <= 0 for v in vals):
         raise ValueError(f"gcf() expects positive integers, got {vals}")
     return math.gcd(*vals)
-
-
-def decimal_string(q: Fraction) -> str:
-    """Exact decimal representation of ``q``; the inverse of parse_decimal.
-
-    Raises ValueError if the reduced denominator has a prime factor other
-    than 2 or 5 (no finite decimal exists then).
-    """
-    num, den = q.numerator, q.denominator
-    twos = fives = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
-        raise ValueError(f"{q} has no finite decimal representation")
-    k = max(twos, fives)
-    scaled = abs(num) * 10**k // den
-    sign = "-" if num < 0 else ""
-    if k == 0:
-        return f"{sign}{scaled}"
-    digits = str(scaled).rjust(k + 1, "0")
-    whole, frac = digits[:-k], digits[-k:]
-    frac = frac.rstrip("0")
-    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"

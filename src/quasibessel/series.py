@@ -21,7 +21,16 @@ not exist; that is reported as DenominatorPoleError rather than patched.
 The residual check substitutes the truncated series back into the equation
 using the exact fractional power rule D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha)
 x^(q-alpha), so any disagreement beyond the truncation tail is a bug, not
-discretisation error.
+discretisation error.  Every power the equation produces,
+x^(gamma+s(n+n_pi)) and x^(gamma+s(n+n_beta)), lies on the series lattice,
+so the residual is folded onto integer lattice slots and evaluated as one
+more coefficient vector.
+
+Evaluation and residual share one summation: the terms c_n x^(gamma+s*n) at
+each x are added with math.fsum, which returns their exactly rounded sum; the
+only error left is that of each computed term, about 2 ulp at its float
+exponent e = gamma + s*n.  The rounding of e itself adds a relative error of
+about |e ln x| ulp to the term.
 """
 
 from __future__ import annotations
@@ -30,9 +39,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
+from .equation import DerivativeKind, QuasiBesselEquation, ceil_order
 from .gammafn import TAU_POLE, gamma_ratio
 from .rational import gcf, lcd
 
@@ -43,7 +52,6 @@ __all__ = [
     "DenominatorPoleError",
     "DerivativeUndefinedError",
     "CancellationWarning",
-    "PowerDerivative",
     "compute_step",
     "build_coefficients",
     "evaluate",
@@ -225,26 +233,20 @@ def build_coefficients(
         if not math.isfinite(c):
             raise ArithmeticError(f"coefficient overflow at n={n}")
         unit.append(c)
-        if abs(c) > _BLOWUP_LIMIT:
+        blown_up = abs(c) > _BLOWUP_LIMIT
+        converged = (
+            not blown_up
+            and n >= plan.n_beta
+            and all(
+                _log_magnitude(c0 * unit[j], gamma + s * j, log_x) < log_eps
+                for j in range(n - plan.n_beta + 1, n + 1)
+            )
+        )
+        if blown_up or (converged and n_terms is None):
             break
-        if n_terms is None and n >= plan.n_beta:
-            window = unit[n - plan.n_beta + 1 :]
-            if all(
-                _log_magnitude(c0 * w, gamma + s * (n - len(window) + 1 + j), log_x)
-                < log_eps
-                for j, w in enumerate(window)
-            ):
-                converged = True
-                break
 
     coeffs = [c0 * u for u in unit]
     n_used = len(coeffs) - 1
-    if n_terms is not None:
-        window_lo = max(1, n_used - plan.n_beta + 1)
-        converged = n_used >= plan.n_beta and all(
-            _log_magnitude(coeffs[j], gamma + s * j, log_x) < log_eps
-            for j in range(window_lo, n_used + 1)
-        )
     tail_logs = [
         _log_magnitude(coeffs[j], gamma + s * j, log_x)
         for j in range(max(1, n_used - plan.n_beta + 1), n_used + 1)
@@ -260,37 +262,40 @@ def build_coefficients(
     )
 
 
-def _accumulate(pairs: Sequence[Tuple[float, float]], x: float) -> Tuple[float, float]:
-    """Sum coef * x^exponent over pairs, largest-magnitude terms first.
-    Returns (sum, largest term magnitude)."""
-    terms = []
-    for coef, exponent in pairs:
-        if coef == 0.0:
-            continue
-        terms.append(coef * x**exponent)
-    terms.sort(key=abs, reverse=True)
-    total = 0.0
-    for t in terms:
-        total += t
-    return total, abs(terms[0]) if terms else 0.0
+def _lattice_sums(
+    coefficients: Sequence[float], gamma: float, s: float, xs: Sequence[float]
+) -> List[Tuple[float, float]]:
+    """For each x, the exactly rounded sum (math.fsum, Shewchuk 1997) of
+    c_n x^(gamma + s*n) over the nonzero c_n, and the largest |term|.  Each
+    term carries about 2 ulp of error at its float exponent: one rounding in
+    pow, one in the product."""
+    lattice = [(c, gamma + s * n) for n, c in enumerate(coefficients) if c != 0.0]
+    out = []
+    for x in xs:
+        terms = [c * x**e for c, e in lattice]
+        largest = max(max(terms), -min(terms)) if terms else 0.0
+        out.append((math.fsum(terms), largest))
+    return out
 
 
 def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     """Evaluate the truncated series on a grid of x > 0 (x = 0 is accepted
     when every exponent is nonnegative).
 
-    Terms are accumulated in descending magnitude order.  When the largest
-    term exceeds 1e15 times the final sum the digits are gone to cancellation;
-    a CancellationWarning is issued once and no compensation is attempted.
+    The value at each x is the exactly rounded sum of the computed terms
+    c_n x^(gamma+s*n), each within about 2 ulp of its value at the float
+    exponent, so the summation order adds no error; the rounding of the
+    exponent adds about |exponent * ln x| ulp per term.  When the largest
+    term exceeds 1e15 times the sum the digits are gone to cancellation; a
+    CancellationWarning is issued once and no compensation is attempted.
     """
-    pairs = [(c, sol.exponent(n)) for n, c in enumerate(sol.coefficients)]
-    out = []
-    lost = False
     for x in xs:
         if x < 0:
             raise ValueError(f"series is defined for x >= 0, got {x}")
-        total, largest = _accumulate(pairs, x)
-        if largest > 0 and largest > _CANCELLATION_RATIO * abs(total):
+    out = []
+    lost = False
+    for total, largest in _lattice_sums(sol.coefficients, sol.gamma, sol.s, xs):
+        if largest > _CANCELLATION_RATIO * abs(total):
             lost = True
         out.append(total)
     if lost:
@@ -303,15 +308,9 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     return out
 
 
-class PowerDerivative(NamedTuple):
-    coefficient: float
-    exponent: float
-
-
-def frac_derivative_power(
-    kind: DerivativeKind, alpha: float, exponent: float
-) -> PowerDerivative:
-    """Fractional power rule: D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha) x^(q-alpha).
+def frac_derivative_power(kind: DerivativeKind, alpha: float, exponent: float) -> float:
+    """Coefficient of the fractional power rule
+    D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha) x^(q-alpha).
 
     Riemann-Liouville needs q > -1, and the coefficient is exactly zero when
     q+1-alpha is a nonpositive integer.  Caputo of x^q with q a nonnegative
@@ -323,7 +322,7 @@ def frac_derivative_power(
     if kind is DerivativeKind.CAPUTO:
         k = round(q)
         if k >= 0 and abs(q - k) < TAU_POLE and k < ceil_order(alpha):
-            return PowerDerivative(0.0, q - alpha)
+            return 0.0
         if q <= ceil_order(alpha) - 1:
             raise DerivativeUndefinedError(
                 f"Caputo derivative of order {alpha} undefined for x^{q}: "
@@ -335,7 +334,7 @@ def frac_derivative_power(
             raise DerivativeUndefinedError(
                 f"Riemann-Liouville derivative undefined for x^{q}: need exponent > -1"
             )
-    return PowerDerivative(gamma_ratio(q, 0.0, alpha), q - alpha)
+    return gamma_ratio(q, 0.0, alpha)
 
 
 def residual(
@@ -343,35 +342,36 @@ def residual(
 ) -> List[float]:
     """Substitute the truncated series into the equation, term by term.
 
+    Precondition: ``sol.s`` is the step of ``compute_step(eq)``, as it is for
+    every series ``build_coefficients`` makes from that plan.
+
     Every series term is differentiated exactly with the fractional power
-    rule, so the result is the genuine defect of the truncated series: it
-    consists of the lattice slots beyond the truncation point and is bounded
-    by a small multiple of the truncation tail.
+    rule, and every power the equation produces lies on the series lattice:
+    term i maps c_n x^(gamma+s*n) into slot n + n_p[i] (n_p = 0 for pure
+    Bessel terms), x^beta into slot n + n_beta and -nu^2 into slot n.  Each
+    slot is summed exactly rounded with math.fsum, and the slot vector is
+    evaluated like a series, so the result is the genuine defect of the
+    truncated series up to rounding: slots up to the truncation point hold
+    the rounding of the recursion, the slots beyond it the truncation tail.
     """
-    gamma, s = sol.gamma, sol.s
-    pairs: List[Tuple[float, float]] = []
-    for i, t in enumerate(eq.terms):
-        p_val = eq.p_value(i)
-        for n, c in enumerate(sol.coefficients):
-            if c == 0.0:
-                continue
-            pd = frac_derivative_power(eq.kind, t.alpha, gamma + s * n)
-            if pd.coefficient != 0.0:
-                pairs.append((t.d * c * pd.coefficient, gamma + s * n + p_val))
-    beta_val = eq.beta_value
+    plan = compute_step(eq)
+    shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
+    slots: List[List[float]] = [
+        [] for _ in range(len(sol.coefficients) + max(shifts + [plan.n_beta]))
+    ]
     for n, c in enumerate(sol.coefficients):
         if c == 0.0:
             continue
-        pairs.append((c, gamma + s * n + beta_val))
-        if eq.nu_squared != 0.0:
-            pairs.append((-eq.nu_squared * c, gamma + s * n))
-    out = []
+        q = sol.gamma + sol.s * n
+        for t, shift in zip(eq.terms, shifts):
+            slots[n + shift].append(t.d * c * frac_derivative_power(eq.kind, t.alpha, q))
+        slots[n + plan.n_beta].append(c)
+        slots[n].append(-eq.nu_squared * c)
     for x in xs:
         if x <= 0:
             raise ValueError(f"residual is defined for x > 0, got {x}")
-        total, _ = _accumulate(pairs, x)
-        out.append(total)
-    return out
+    folded = [math.fsum(slot) for slot in slots]
+    return [total for total, _ in _lattice_sums(folded, sol.gamma, sol.s, xs)]
 
 
 def c0_for_initial_derivative(gamma: float, mu: float, value: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .gammafn import GammaPoleError, signed_log_gamma
 
@@ -86,15 +86,20 @@ def kilbas_saigo_coefficients(params: KilbasSaigoParams, n_terms: int) -> List[f
     return coeffs
 
 
-def kilbas_saigo(params: KilbasSaigoParams, z: float, n_terms: int = 60) -> float:
-    """Truncated E_{alpha,m,l}(z)."""
+def kilbas_saigo(
+    params: KilbasSaigoParams, zs: Sequence[float], n_terms: int = 60
+) -> List[float]:
+    """Truncated E_{alpha,m,l}(z) at each z; the coefficients are built once."""
     coeffs = kilbas_saigo_coefficients(params, n_terms)
-    total = 0.0
-    zk = 1.0
-    for c in coeffs:
-        total += c * zk
-        zk *= z
-    return total
+    out = []
+    for z in zs:
+        total = 0.0
+        zk = 1.0
+        for c in coeffs:
+            total += c * zk
+            zk *= z
+        out.append(total)
+    return out
 
 
 def kilbas_saigo_for_single_term(

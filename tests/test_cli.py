@@ -109,7 +109,7 @@ def test_shifted_leading_term_is_fatal(tmp_path):
     assert solve_command(spec, tmp_path / "out") == EXIT_VALIDATION
 
 
-def test_malformed_spec_files(tmp_path):
+def test_malformed_spec_files(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert solve_command(missing, tmp_path / "out") == EXIT_VALIDATION
 
@@ -120,6 +120,25 @@ def test_malformed_spec_files(tmp_path):
     no_beta = dict(EXAMPLE1_SPEC)
     del no_beta["beta"]
     assert solve_command(write_spec(tmp_path, no_beta), tmp_path / "out") == EXIT_VALIDATION
+
+    # each is rejected with a one-line error, not a traceback
+    domain = EXAMPLE1_SPEC["domain"]
+    bad_fields = [
+        ("options", {"c0": "abc"}),
+        ("options", {"eps_tail": "zz"}),
+        ("options", {"eps_tail": "0"}),
+        ("options", {"n_terms_max": "x"}),
+        ("options", [1, 2]),
+        ("domain", dict(domain, n_points="abc")),
+        ("domain", dict(domain, n_points=4.7)),
+        ("domain", 5),
+    ]
+    for key, value in bad_fields:
+        capsys.readouterr()
+        spec = write_spec(tmp_path, dict(EXAMPLE1_SPEC, **{key: value}))
+        assert solve_command(spec, tmp_path / "out") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_root_index_restriction(tmp_path):

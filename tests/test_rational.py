@@ -1,9 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from quasibessel.rational import as_rational, decimal_string, gcf, lcd, parse_decimal
+from quasibessel.rational import as_rational, gcf, lcd, parse_decimal
 
 
 def test_parse_decimal_examples():
@@ -50,24 +49,3 @@ def test_lcd_gcf_degenerate_cases():
     # single-element identities
     q = Fraction(7, 12)
     assert lcd([q]) == q.denominator
-
-
-def test_decimal_round_trip():
-    rng = random.Random(20240817)
-    for _ in range(500):
-        whole = rng.randrange(0, 1000)
-        frac_len = rng.randrange(0, 6)
-        digits = "".join(str(rng.randrange(10)) for _ in range(frac_len))
-        digits = digits.rstrip("0")
-        text = f"{whole}.{digits}" if digits else str(whole)
-        if rng.random() < 0.5 and text != "0":
-            text = "-" + text
-        assert decimal_string(parse_decimal(text)) == text
-
-
-def test_decimal_string_rejects_non_terminating():
-    with pytest.raises(ValueError):
-        decimal_string(Fraction(1, 3))
-    assert decimal_string(Fraction(1, 8)) == "0.125"
-    assert decimal_string(Fraction(-21, 10)) == "-2.1"
-    assert decimal_string(Fraction(5)) == "5"

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -256,6 +257,18 @@ def test_evaluate_example3_combined_against_direct_series():
     assert worst < 1e-10
 
 
+def test_evaluate_sum_is_exactly_rounded():
+    # sequential addition of ten 0.1 gives 0.9999999999999999
+    sol = SeriesSolution(
+        gamma=0.0,
+        s=1.0,
+        coefficients=[0.1] * 10,
+        c0=0.1,
+        truncation=Truncation(terms_used=9, tail_estimate=0.0, converged=False),
+    )
+    assert evaluate(sol, [1.0]) == [1.0]
+
+
 def test_evaluate_warns_on_cancellation():
     # a step so small that x^s rounds to 1: the two huge terms cancel exactly
     sol = SeriesSolution(
@@ -273,13 +286,10 @@ def test_evaluate_warns_on_cancellation():
 
 
 def test_power_rule_trivial_cases():
-    rl = frac_derivative_power(RL, 0.5, -0.5)
-    assert rl.coefficient == 0.0  # Gamma(0.5)/Gamma(0) = 0
-    cap = frac_derivative_power(CAPUTO, 1.5, 1.0)
-    assert cap.coefficient == 0.0  # integer power below ceil(alpha)
-    classical = frac_derivative_power(RL, 1.0, 2.0)
-    assert classical.coefficient == pytest.approx(2.0, rel=1e-15)
-    assert classical.exponent == pytest.approx(1.0)
+    assert frac_derivative_power(RL, 0.5, -0.5) == 0.0  # Gamma(0.5)/Gamma(0) = 0
+    # integer power below ceil(alpha)
+    assert frac_derivative_power(CAPUTO, 1.5, 1.0) == 0.0
+    assert frac_derivative_power(RL, 1.0, 2.0) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_power_rule_matches_gamma_ratio_for_valid_exponents():
@@ -289,9 +299,8 @@ def test_power_rule_matches_gamma_ratio_for_valid_exponents():
             rl = frac_derivative_power(RL, alpha, q)
             cap = frac_derivative_power(CAPUTO, alpha, q)
             ref = float(mp.gamma(q + 1) / mp.gamma(q + 1 - alpha))
-            assert rl.coefficient == pytest.approx(ref, rel=1e-12)
-            assert cap.coefficient == rl.coefficient
-            assert rl.exponent == pytest.approx(q - alpha)
+            assert rl == pytest.approx(ref, rel=1e-12)
+            assert cap == rl
 
 
 def test_power_rule_preconditions():
@@ -338,6 +347,29 @@ def test_residual_example1_small_relative_to_solution_terms():
         for n, c in enumerate(sol.coefficients)
     )
     assert max(abs(v) for v in res) / largest_term < 1e-6
+
+
+def test_residual_example1_matches_50_digit_defect():
+    # the defect of the same float coefficients summed at 50 digits: the
+    # residual is that defect up to a few roundings of the largest parts
+    eq = example1(2.0)
+    plan = compute_step(eq)
+    sol = build_coefficients(eq, _valid_gamma(eq), plan, x_max=3.0)
+    mp.mp.dps = 50
+    parts = []  # (coefficient, lattice slot) of every contribution
+    for n, c in enumerate(sol.coefficients):
+        q = mp.mpf(sol.gamma) + mp.mpf(sol.s) * n
+        parts.append((mp.mpf(c), n + plan.n_beta))
+        parts.append((-mp.mpf(c) * eq.nu_squared, n))
+        for i, t in enumerate(eq.terms):
+            rule = mp.gamma(q + 1) / mp.gamma(q + 1 - t.alpha)
+            parts.append((mp.mpf(c) * t.d * rule, n + plan.n_p.get(i, 0)))
+    xs = [0.1, 1.0, 2.3, 3.0]
+    for x, r in zip(xs, residual(eq, sol, xs)):
+        terms = [a * mp.mpf(x) ** (mp.mpf(sol.gamma) + mp.mpf(sol.s) * k) for a, k in parts]
+        defect = mp.fsum(terms)
+        scale = mp.fsum(abs(v) for v in terms)
+        assert abs(r - defect) <= 8 * sys.float_info.epsilon * scale
 
 
 def test_residual_propagates_derivative_errors():
