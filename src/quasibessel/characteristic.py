@@ -142,10 +142,13 @@ def find_roots(
     search_hi: Optional[float] = None,
     grid_points: int = GRID_POINTS,
 ) -> List[CharacteristicRoot]:
-    """All real roots of G on (-1, search_hi], sorted ascending.
+    """All real roots of G on (-1 + 2*TAU_POLE, search_hi], sorted ascending.
 
     Sign changes on a uniform grid are bracketed and bisected to within
-    REFINE_TOL.  Without an explicit ``search_hi`` the window starts at
+    REFINE_TOL.  The grid runs from floor + step to search_hi, with
+    floor = -1 + TAU_POLE; one more sample at -1 + 2*TAU_POLE, just above the
+    pole at -1, covers the first cell (G is continuous on (-1, inf)).
+    Without an explicit ``search_hi`` the window starts at
     max(n_max, 4) + nu^(2/alpha_1) + 10 and doubles (up to three times) until
     G is monotone positive at the top, since G grows like d_1 gamma^alpha_1.
     Tangential (double) roots produce no sign change and are not detected.
@@ -164,6 +167,7 @@ def find_roots(
         return _analytic_family(eq)
 
     floor = -1.0 + TAU_POLE
+    first = -1.0 + 2.0 * TAU_POLE
     hi = _default_search_hi(eq) if search_hi is None else float(search_hi)
     if hi <= floor:
         raise ValueError(f"search_hi={hi} must exceed the lower bound {floor}")
@@ -172,6 +176,8 @@ def find_roots(
     while True:
         step = (hi - floor) / grid_points
         grid = [floor + i * step for i in range(1, grid_points + 1)]
+        if grid[0] > first:
+            grid.insert(0, first)
         values = [characteristic_value(eq, g) for g in grid]
         if attempts == 0 or _tail_monotone_positive(values):
             break

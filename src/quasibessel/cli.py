@@ -237,7 +237,9 @@ def _root_rows(eq, roots: Sequence[CharacteristicRoot]) -> List[List[str]]:
     return rows
 
 
-def _oracle_check(eq, sol: SeriesSolution, xs: Sequence[float]) -> Optional[str]:
+def _oracle_check(
+    eq, sol: SeriesSolution, xs: Sequence[float], u_vals: Sequence[float]
+) -> Optional[str]:
     # closed form exists for a single derivative term with p = 0 and nu = 0
     if len(eq.terms) != 1 or eq.terms[0].p != 0 or eq.nu_squared != 0.0:
         return None
@@ -246,7 +248,7 @@ def _oracle_check(eq, sol: SeriesSolution, xs: Sequence[float]) -> Optional[str]
     n_terms = max(80, len(sol.coefficients))
     closed = kilbas_saigo(params, [lam * x**sol.s for x in xs], n_terms)
     worst = 0.0
-    for x, u, e in zip(xs, evaluate(sol, xs), closed):
+    for x, u, e in zip(xs, u_vals, closed):
         worst = max(worst, abs(u - sol.c0 * x**sol.gamma * e))
     return (
         f"oracle: max |series - c0 x^gamma E_({_pretty(params.alpha)},{_pretty(params.m)},"
@@ -418,7 +420,7 @@ def solve_command(
             [[_fmt(x), _fmt(v)] for x, v in zip(xs, res_vals)],
         )
         if oracle:
-            outcome.oracle_line = _oracle_check(eq, sol, xs)
+            outcome.oracle_line = _oracle_check(eq, sol, xs, u_vals)
             if outcome.oracle_line is None:
                 warning_lines.append(
                     "[W_NO_ORACLE] no closed-form oracle applies to this equation "

@@ -5,17 +5,21 @@ term is a ratio Gamma(1+g+r)/Gamma(1+g+r-p) whose arguments may be negative
 or may sit on a pole of Gamma.  Ratios are therefore assembled from
 log|Gamma| plus a sign, and a pole in the denominator yields an exact zero
 (1/Gamma is entire).
+
+``signed_log_gamma(x)`` returns a plain ``(log_abs, sign)`` tuple: sign is +1
+or -1, or 0 on a pole (log_abs is +inf there).  Every x within TAU_POLE of a
+nonpositive integer is a pole, including 0 < x < TAU_POLE (the pole at 0);
+x >= TAU_POLE takes math.lgamma directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = [
     "TAU_POLE",
     "GammaPoleError",
-    "SignedLogGamma",
     "signed_log_gamma",
     "gamma_ratio",
 ]
@@ -33,41 +37,28 @@ class GammaPoleError(ValueError):
     """Gamma was evaluated at (or within TAU_POLE of) a nonpositive integer."""
 
 
-@dataclass(frozen=True)
-class SignedLogGamma:
-    """log|Gamma(x)| together with the sign of Gamma(x).
+def signed_log_gamma(x: float) -> Tuple[float, int]:
+    """Return (log|Gamma(x)|, sign of Gamma(x)) for finite real x.
 
-    ``sign`` is +1 or -1, or 0 when x lies on a pole (log_abs is +inf there).
-    """
-
-    log_abs: float
-    sign: int
-
-    @property
-    def is_pole(self) -> bool:
-        return self.sign == 0
-
-
-def signed_log_gamma(x: float) -> SignedLogGamma:
-    """Compute log|Gamma(x)| and the sign of Gamma(x) for finite real x.
-
-    For x > 0 this is math.lgamma.  For negative non-integer x the reflection
-    identity Gamma(x)Gamma(1-x) = pi/sin(pi*x) is used; the sign is the sign
-    of sin(pi*x), evaluated from the fractional part of x so it stays exact
+    The sign is +1 or -1, or 0 when x lies within TAU_POLE of a nonpositive
+    integer (a pole; log_abs is +inf there).  That includes 0 < x < TAU_POLE,
+    the pole at 0.  For x >= TAU_POLE this is (math.lgamma(x), 1).  For
+    negative non-integer x the reflection identity
+    Gamma(x)Gamma(1-x) = pi/sin(pi*x) is used; the sign is the sign of
+    sin(pi*x), evaluated from the fractional part of x so it stays exact
     arbitrarily close to the poles.
     """
     if not math.isfinite(x):
         raise ValueError(f"signed_log_gamma expects finite x, got {x}")
-    nearest = round(x)
-    if nearest <= 0 and abs(x - nearest) < TAU_POLE:
-        return SignedLogGamma(math.inf, 0)
-    if x > 0:
-        return SignedLogGamma(math.lgamma(x), 1)
+    if x >= TAU_POLE:
+        return math.lgamma(x), 1
+    if abs(x - round(x)) < TAU_POLE:
+        return math.inf, 0
     floor = math.floor(x)
     frac = x - floor  # in (0, 1)
     log_abs = math.log(math.pi) - math.log(math.sin(math.pi * frac)) - math.lgamma(1.0 - x)
     sign = 1 if floor % 2 == 0 else -1
-    return SignedLogGamma(log_abs, sign)
+    return log_abs, sign
 
 
 def gamma_ratio(gamma: float, r: float, p: float) -> float:
@@ -80,14 +71,14 @@ def gamma_ratio(gamma: float, r: float, p: float) -> float:
     log-space path would lose ~1e-14 of relative accuracy.
     """
     x = 1.0 + gamma + r
-    num = signed_log_gamma(x)
-    if num.is_pole:
+    num_log, num_sign = signed_log_gamma(x)
+    if num_sign == 0:
         raise GammaPoleError(
             f"Gamma pole in ratio numerator: 1+gamma+r = {x!r} is a nonpositive integer"
         )
     y = x - p
-    den = signed_log_gamma(y)
-    if den.is_pole:
+    den_log, den_sign = signed_log_gamma(y)
+    if den_sign == 0:
         return 0.0
     k = round(p)
     if (
@@ -99,4 +90,4 @@ def gamma_ratio(gamma: float, r: float, p: float) -> float:
         for j in range(1, k + 1):
             prod *= x - j
         return prod
-    return num.sign * den.sign * math.exp(num.log_abs - den.log_abs)
+    return num_sign * den_sign * math.exp(num_log - den_log)

@@ -69,19 +69,19 @@ def kilbas_saigo_coefficients(params: KilbasSaigoParams, n_terms: int) -> List[f
         if sign == 0:
             coeffs.append(0.0)
             continue
-        num = signed_log_gamma(a * (j * m + l) + 1.0)
-        if num.is_pole:
+        num_log, num_sign = signed_log_gamma(a * (j * m + l) + 1.0)
+        if num_sign == 0:
             raise GammaPoleError(
                 f"Kilbas-Saigo coefficient pole: alpha(jm+l)+1 = "
                 f"{a * (j * m + l) + 1.0} at j={j}"
             )
-        den = signed_log_gamma(a * (j * m + l + 1.0) + 1.0)
-        if den.is_pole:
+        den_log, den_sign = signed_log_gamma(a * (j * m + l + 1.0) + 1.0)
+        if den_sign == 0:
             sign = 0
             coeffs.append(0.0)
             continue
-        log_c += num.log_abs - den.log_abs
-        sign *= num.sign * den.sign
+        log_c += num_log - den_log
+        sign *= num_sign * den_sign
         coeffs.append(sign * math.exp(log_c) if log_c > -745.0 else 0.0)
     return coeffs
 

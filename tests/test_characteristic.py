@@ -87,6 +87,25 @@ def test_find_roots_grid_refinement_stability():
         assert any(abs(new.gamma - old.gamma) < 1e-9 for new in fine)
 
 
+def test_find_roots_first_cell_above_pole():
+    # G(-1 + 2e-9) = +2.4e6 and G(floor + step) = -2.9: the only sign change
+    # below the valid root lies inside the first grid cell (step 0.0018)
+    eq = QuasiBesselEquation(
+        terms=(Term(0.7, 1.2), Term(0.8, 0.8), Term(0.9, 0.6, "0.2")),
+        beta="1.1",
+        nu_squared=2.07**2,
+        kind=CAPUTO,
+    )
+    roots = find_roots(eq)
+    low = [r for r in roots if r.gamma < 0]
+    assert len(low) == 1
+    assert low[0].gamma == pytest.approx(-0.99912, abs=1e-5)
+    assert low[0].status is RootStatus.BELOW_CAPUTO_FLOOR
+    # G is steep next to the pole, so check the bracket rather than |G|
+    g = low[0].gamma
+    assert characteristic_value(eq, g - 1e-10) > 0 > characteristic_value(eq, g + 1e-10)
+
+
 def test_find_roots_analytic_family_rl():
     eq = constant_coefficients_rl(["2.1", "1.4", "0.7"])
     roots = find_roots(eq)

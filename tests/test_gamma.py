@@ -1,10 +1,13 @@
 import math
 import random
+from dataclasses import dataclass
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quasibessel.gammafn import GammaPoleError, gamma_ratio, signed_log_gamma
+from quasibessel.gammafn import TAU_POLE, GammaPoleError, gamma_ratio, signed_log_gamma
 
 # Independent oracle values, frozen from mpmath at 40 digits:
 #   Gamma(-1/2) = -2 sqrt(pi)            -> log|.| = log(2 sqrt(pi))
@@ -14,11 +17,11 @@ Q_EX3 = 3.280958998356589686
 
 
 def test_positive_values():
-    one = signed_log_gamma(1.0)
-    assert one.sign == 1 and abs(one.log_abs) < 1e-15
-    half = signed_log_gamma(0.5)
-    assert half.sign == 1
-    assert half.log_abs == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-15)
+    one_log, one_sign = signed_log_gamma(1.0)
+    assert one_sign == 1 and abs(one_log) < 1e-15
+    half_log, half_sign = signed_log_gamma(0.5)
+    assert half_sign == 1
+    assert half_log == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-15)
 
 
 def test_negative_half_via_reflection():
@@ -29,17 +32,18 @@ def test_negative_half_via_reflection():
     oracle = gamma_half / mp.mpf("-0.5")
     assert oracle == pytest.approx(-2 * math.sqrt(math.pi), rel=1e-20)
 
-    got = signed_log_gamma(-0.5)
-    assert got.sign == -1
-    assert got.log_abs == pytest.approx(LOG_2_SQRT_PI, rel=1e-14)
-    assert got.log_abs == pytest.approx(float(mp.log(abs(oracle))), rel=1e-14)
+    log_abs, sign = signed_log_gamma(-0.5)
+    assert sign == -1
+    assert log_abs == pytest.approx(LOG_2_SQRT_PI, rel=1e-14)
+    assert log_abs == pytest.approx(float(mp.log(abs(oracle))), rel=1e-14)
 
 
 def test_poles_detected():
-    for x in (0.0, -1.0, -2.0, -7.0, -3.0 + 1e-12):
-        assert signed_log_gamma(x).is_pole
-    assert not signed_log_gamma(-2.5).is_pole
-    assert not signed_log_gamma(1e-6).is_pole
+    # 5e-10 lies within TAU_POLE of the pole at 0; TAU_POLE itself does not
+    for x in (0.0, -1.0, -2.0, -7.0, -3.0 + 1e-12, 5e-10):
+        assert signed_log_gamma(x) == (math.inf, 0)
+    for x in (-2.5, 1e-6, TAU_POLE):
+        assert signed_log_gamma(x)[1] != 0
 
 
 def test_sign_alternation_on_negative_axis():
@@ -47,7 +51,7 @@ def test_sign_alternation_on_negative_axis():
     for k in range(6):
         x = -k - 0.5
         expected = -1 if k % 2 == 0 else 1
-        assert signed_log_gamma(x).sign == expected
+        assert signed_log_gamma(x)[1] == expected
 
 
 def test_accuracy_against_mpmath_oracle():
@@ -58,9 +62,9 @@ def test_accuracy_against_mpmath_oracle():
         if abs(x - round(x)) < 1e-6:
             continue
         ref = mp.gamma(x)
-        got = signed_log_gamma(x)
-        assert got.sign == (1 if ref > 0 else -1)
-        assert got.log_abs == pytest.approx(float(mp.log(abs(ref))), rel=1e-12, abs=1e-12)
+        log_abs, sign = signed_log_gamma(x)
+        assert sign == (1 if ref > 0 else -1)
+        assert log_abs == pytest.approx(float(mp.log(abs(ref))), rel=1e-12, abs=1e-12)
 
 
 def test_gamma_ratio_trivial_integer_p():
@@ -112,3 +116,100 @@ def test_gamma_ratio_matches_mpmath_on_fractional_p():
             continue
         ref = float(mp.gamma(1 + g + r) / mp.gamma(y))
         assert gamma_ratio(g, r, p) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+# The dataclass-based implementation that the tuple-returning one replaced,
+# copied verbatim apart from the _REF names and the docstrings, as the
+# reference for bit identity.
+_REF_TAU_POLE = 1e-9
+_REF_MAX_PRODUCT_P = 128
+
+
+@dataclass(frozen=True)
+class _RefSignedLogGamma:
+    log_abs: float
+    sign: int
+
+    @property
+    def is_pole(self) -> bool:
+        return self.sign == 0
+
+
+def _ref_signed_log_gamma(x: float) -> _RefSignedLogGamma:
+    if not math.isfinite(x):
+        raise ValueError(f"signed_log_gamma expects finite x, got {x}")
+    nearest = round(x)
+    if nearest <= 0 and abs(x - nearest) < _REF_TAU_POLE:
+        return _RefSignedLogGamma(math.inf, 0)
+    if x > 0:
+        return _RefSignedLogGamma(math.lgamma(x), 1)
+    floor = math.floor(x)
+    frac = x - floor  # in (0, 1)
+    log_abs = math.log(math.pi) - math.log(math.sin(math.pi * frac)) - math.lgamma(1.0 - x)
+    sign = 1 if floor % 2 == 0 else -1
+    return _RefSignedLogGamma(log_abs, sign)
+
+
+def _ref_gamma_ratio(gamma: float, r: float, p: float) -> float:
+    x = 1.0 + gamma + r
+    num = _ref_signed_log_gamma(x)
+    if num.is_pole:
+        raise GammaPoleError(
+            f"Gamma pole in ratio numerator: 1+gamma+r = {x!r} is a nonpositive integer"
+        )
+    y = x - p
+    den = _ref_signed_log_gamma(y)
+    if den.is_pole:
+        return 0.0
+    k = round(p)
+    if (
+        abs(p - k) < _REF_TAU_POLE
+        and 0 <= k <= _REF_MAX_PRODUCT_P
+        and k * math.log10(abs(x) + k + 2.0) < 280.0
+    ):
+        prod = 1.0
+        for j in range(1, k + 1):
+            prod *= x - j
+        return prod
+    return num.sign * den.sign * math.exp(num.log_abs - den.log_abs)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+_NEAR = st.sampled_from((0.0, 1e-12, 5e-10, 1e-9, 2e-9))
+_SIDE = st.sampled_from((1.0, -1.0))
+_ARGS = st.one_of(
+    st.builds(lambda n, d, side: n + side * d, st.integers(-30, 200), _NEAR, _SIDE),
+    st.floats(-30.0, 200.0),
+)
+_ORDERS = st.one_of(
+    st.builds(lambda n, d, side: n + side * d, st.integers(0, 6), _NEAR, _SIDE),
+    st.floats(0.0, 6.0),
+)
+_LATTICE = st.integers(0, 100).map(lambda k: k * 0.1)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(x=_ARGS)
+@example(x=5e-10)
+@example(x=_REF_TAU_POLE)
+def test_signed_log_gamma_bit_identical_to_dataclass_version(x):
+    ref = _outcome(_ref_signed_log_gamma, x)
+    if isinstance(ref, _RefSignedLogGamma):
+        ref = (ref.log_abs, ref.sign)
+    assert _outcome(signed_log_gamma, x) == ref
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(arg=_ARGS, r=_LATTICE, p=_ORDERS)
+@example(arg=5e-10, r=0.0, p=0.5)
+@example(arg=2.0 + 5e-10, r=0.0, p=2.0)
+def test_gamma_ratio_bit_identical_to_dataclass_version(arg, r, p):
+    # the numerator argument 1 + gamma + r lands on (or next to) ``arg``
+    gamma = arg - 1.0 - r
+    assert _outcome(gamma_ratio, gamma, r, p) == _outcome(_ref_gamma_ratio, gamma, r, p)
