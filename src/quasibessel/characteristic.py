@@ -5,10 +5,16 @@ The leading exponent gamma of a series solution must satisfy
     G(gamma) = sum over pure Bessel terms of d_i * Gamma(1+gamma)/Gamma(1+gamma-alpha_i) - nu^2 = 0.
 
 G is continuous on gamma > -1 (1/Gamma is entire), so roots are located by
-bracketing sign changes on a uniform grid and refining by bisection.  When a
-single pure Bessel term meets nu = 0 the roots are known in closed form --
-gamma = alpha - k for integers k >= 1 down to the -1 floor -- and are emitted
-exactly instead of scanned.
+bracketing sign changes on a uniform grid and refining by bisection.  The grid
+is evaluated in one batched pass (``_grid_values``): where both Gamma
+arguments are at least TAU_POLE the ratio is exp(lgamma(1+gamma) -
+lgamma(1+gamma-alpha)), computed by C-level ``map`` chains over the grid, and
+every other point goes through ``gamma_ratio`` as the scalar
+``characteristic_value`` does, so each grid value is bit-identical to it.
+Bisection calls the scalar ``characteristic_value``, which stays the
+definition of G.  When a single pure Bessel term meets nu = 0 the roots are
+known in closed form -- gamma = alpha - k for integers k >= 1 down to the -1
+floor -- and are emitted exactly instead of scanned.
 
 A root can fail to generate a solution in two ways: for Caputo equations it
 may sit at or below n_max - 1, where the fractional derivatives of x^gamma do
@@ -20,11 +26,15 @@ conditions are recorded on the root rather than silently dropped.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import chain, islice, repeat
 from typing import List, Optional, Sequence
 
-from .equation import DerivativeKind, QuasiBesselEquation, ceil_order
+from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
 from .gammafn import TAU_POLE, gamma_ratio
 from .series import StepPlan
 
@@ -52,7 +62,8 @@ _MAX_DOUBLINGS = 3
 
 
 class RootSearchWarning(UserWarning):
-    """Raised as a warning when the scan finds no sign change."""
+    """Raised as a warning when the scan finds no sign change, or when G is
+    still not monotone positive at the top of its last window."""
 
 
 class RootStatus(enum.Enum):
@@ -87,6 +98,42 @@ def characteristic_value(eq: QuasiBesselEquation, gamma: float) -> float:
         t = eq.terms[i]
         total += t.d * gamma_ratio(gamma, 0.0, t.alpha)
     return total
+
+
+def _grid_values(eq: QuasiBesselEquation, grid: Sequence[float]) -> List[float]:
+    """G at every point of an ascending grid, each value bit-identical to
+    ``characteristic_value`` at that point.
+
+    Each total is built with the same operations in the same order, -nu^2
+    then + d_i * ratio_i per pure term, and the lazy ``map`` chains evaluate
+    point by point, so a pole raises at the same point as the scalar loop.
+    At and above a term's cut (the first grid index where both 1+gamma and
+    1+gamma-alpha are >= TAU_POLE) ``gamma_ratio`` reduces to
+    exp(lgamma(1+gamma) - lgamma(1+gamma-alpha)); below it, and at every
+    point of an integer-order term (the falling-product path), the ratio
+    comes from ``gamma_ratio`` itself.
+    """
+    add, sub, mul = operator.add, operator.sub, operator.mul
+    # 1.0 + gamma as gamma_ratio forms it (adding r = 0.0 changes nothing);
+    # lgamma(1+gamma) is shared by every term, the only list kept besides the
+    # result, so memory stays flat in the number of terms
+    low = bisect_left(grid, True, key=lambda g: 1.0 + g >= TAU_POLE)
+    log_num = list(map(math.lgamma, map(add, repeat(1.0), islice(grid, low, None))))
+    values = repeat(-eq.nu_squared, len(grid))
+    for i in eq.pure_indices:
+        t = eq.terms[i]
+        # alpha > 0 here, so 1+gamma-alpha >= TAU_POLE implies 1+gamma >= TAU_POLE
+        cut = len(grid) if is_integer_order(t.alpha) else bisect_left(
+            grid, True, key=lambda g: (1.0 + g) - t.alpha >= TAU_POLE
+        )
+        den_args = map(sub, map(add, repeat(1.0), islice(grid, cut, None)), repeat(t.alpha))
+        log_den = map(math.lgamma, den_args)
+        ratios = chain(
+            map(gamma_ratio, islice(grid, cut), repeat(0.0), repeat(t.alpha)),
+            map(math.exp, map(sub, islice(log_num, cut - low, None), log_den)),
+        )
+        values = map(add, values, map(mul, repeat(t.d), ratios))
+    return list(values)
 
 
 def _status_for(eq: QuasiBesselEquation, gamma: float) -> RootStatus:
@@ -147,10 +194,15 @@ def find_roots(
     Sign changes on a uniform grid are bracketed and bisected to within
     REFINE_TOL.  The grid runs from floor + step to search_hi, with
     floor = -1 + TAU_POLE; one more sample at -1 + 2*TAU_POLE, just above the
-    pole at -1, covers the first cell (G is continuous on (-1, inf)).
+    pole at -1, covers the first cell (G is continuous on (-1, inf)).  G is
+    evaluated on the whole grid in one batched pass (``_grid_values``,
+    bit-identical to ``characteristic_value`` point by point); bisection
+    calls the scalar ``characteristic_value``.
     Without an explicit ``search_hi`` the window starts at
     max(n_max, 4) + nu^(2/alpha_1) + 10 and doubles (up to three times) until
-    G is monotone positive at the top, since G grows like d_1 gamma^alpha_1.
+    G is monotone positive at the top, since G grows like d_1 gamma^alpha_1;
+    if it still is not after the last doubling, a RootSearchWarning names
+    the window, since a root above it would be missed.
     Tangential (double) roots produce no sign change and are not detected.
 
     Caputo roots at or below n_max - 1 are returned flagged rather than
@@ -178,8 +230,18 @@ def find_roots(
         grid = [floor + i * step for i in range(1, grid_points + 1)]
         if grid[0] > first:
             grid.insert(0, first)
-        values = [characteristic_value(eq, g) for g in grid]
-        if attempts == 0 or _tail_monotone_positive(values):
+        values = _grid_values(eq, grid)
+        if _tail_monotone_positive(values):
+            break
+        if attempts == 0:
+            if search_hi is None:
+                warnings.warn(
+                    RootSearchWarning(
+                        f"G(gamma) is not monotone positive at the top of the last "
+                        f"scan window ({floor:.3g}, {hi:.6g}] after {_MAX_DOUBLINGS} "
+                        f"doublings; roots above it are not searched"
+                    )
+                )
             break
         hi = floor + 2.0 * (hi - floor)
         attempts -= 1

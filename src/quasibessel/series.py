@@ -39,7 +39,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order
 from .gammafn import TAU_POLE, gamma_ratio
@@ -262,20 +262,16 @@ def build_coefficients(
     )
 
 
-def _lattice_sums(
+def _lattice_terms(
     coefficients: Sequence[float], gamma: float, s: float, xs: Sequence[float]
-) -> List[Tuple[float, float]]:
-    """For each x, the exactly rounded sum (math.fsum, Shewchuk 1997) of
-    c_n x^(gamma + s*n) over the nonzero c_n, and the largest |term|.  Each
-    term carries about 2 ulp of error at its float exponent: one rounding in
-    pow, one in the product."""
+) -> Iterator[List[float]]:
+    """For each x, the terms c_n x^(gamma + s*n) over the nonzero c_n, to be
+    summed exactly rounded with math.fsum (Shewchuk 1997).  Each term carries
+    about 2 ulp of error at its float exponent: one rounding in pow, one in
+    the product."""
     lattice = [(c, gamma + s * n) for n, c in enumerate(coefficients) if c != 0.0]
-    out = []
     for x in xs:
-        terms = [c * x**e for c, e in lattice]
-        largest = max(max(terms), -min(terms)) if terms else 0.0
-        out.append((math.fsum(terms), largest))
-    return out
+        yield [c * x**e for c, e in lattice]
 
 
 def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
@@ -294,7 +290,9 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
             raise ValueError(f"series is defined for x >= 0, got {x}")
     out = []
     lost = False
-    for total, largest in _lattice_sums(sol.coefficients, sol.gamma, sol.s, xs):
+    for terms in _lattice_terms(sol.coefficients, sol.gamma, sol.s, xs):
+        total = math.fsum(terms)
+        largest = max(max(terms), -min(terms)) if terms else 0.0
         if largest > _CANCELLATION_RATIO * abs(total):
             lost = True
         out.append(total)
@@ -371,7 +369,7 @@ def residual(
         if x <= 0:
             raise ValueError(f"residual is defined for x > 0, got {x}")
     folded = [math.fsum(slot) for slot in slots]
-    return [total for total, _ in _lattice_sums(folded, sol.gamma, sol.s, xs)]
+    return list(map(math.fsum, _lattice_terms(folded, sol.gamma, sol.s, xs)))
 
 
 def c0_for_initial_derivative(gamma: float, mu: float, value: float) -> float:
