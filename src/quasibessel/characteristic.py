@@ -5,12 +5,19 @@ The leading exponent gamma of a series solution must satisfy
     G(gamma) = sum over pure Bessel terms of d_i * Gamma(1+gamma)/Gamma(1+gamma-alpha_i) - nu^2 = 0.
 
 G is continuous on gamma > -1 (1/Gamma is entire), so roots are located by
-bracketing sign changes on a uniform grid and refining by bisection.  The grid
-is evaluated in one batched pass (``_grid_values``): where both Gamma
-arguments are at least TAU_POLE the ratio is exp(lgamma(1+gamma) -
-lgamma(1+gamma-alpha)), computed by C-level ``map`` chains over the grid, and
-every other point goes through ``gamma_ratio`` as the scalar
-``characteristic_value`` does, so each grid value is bit-identical to it.
+bracketing sign changes between neighbouring points of a uniform fine grid
+(10^4 steps) and refining by bisection.  G is computed on the fine grid only
+where a bracket can be: a coarse pass samples every 16th fine point and keeps
+the cells whose end values differ in sign or touch 0.0, the two cells around
+each turn of the coarse differences (an extremum can hide two roots in a cell
+whose ends share a sign), and the first and last cell.  Window doublings are
+decided from the top 20 fine points alone.  Undetected: tangential roots, and
+two roots in one cell when G turns twice within three coarse cells.  Every
+batch goes through ``_grid_values``: where both Gamma arguments are at least
+TAU_POLE the ratio is exp(lgamma(1+gamma) - lgamma(1+gamma-alpha)), computed
+by C-level ``map`` chains, and every other point goes through ``gamma_ratio``
+as the scalar ``characteristic_value`` does, so each value is bit-identical
+to it and each kept bracket gives the root the full fine scan gives.
 Bisection calls the scalar ``characteristic_value``, which stays the
 definition of G.  When a single pure Bessel term meets nu = 0 the roots are
 known in closed form -- gamma = alpha - k for integers k >= 1 down to the -1
@@ -59,6 +66,8 @@ TAU_COLLISION = 1e-6
 # at the top of the scan window
 _TOP_WINDOW = 20
 _MAX_DOUBLINGS = 3
+# fine grid steps per coarse cell of the root scan
+_COARSE = 16
 
 
 class RootSearchWarning(UserWarning):
@@ -160,6 +169,10 @@ def _analytic_family(eq: QuasiBesselEquation) -> List[CharacteristicRoot]:
 def _bisect(eq: QuasiBesselEquation, lo: float, hi: float, f_lo: float) -> float:
     while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are neighbouring floats: above ~4.5e5 their spacing
+            # exceeds REFINE_TOL, so the width test alone would never stop
+            break
         f_mid = characteristic_value(eq, mid)
         if f_mid == 0.0:
             return mid
@@ -191,19 +204,38 @@ def find_roots(
 ) -> List[CharacteristicRoot]:
     """All real roots of G on (-1 + 2*TAU_POLE, search_hi], sorted ascending.
 
-    Sign changes on a uniform grid are bracketed and bisected to within
-    REFINE_TOL.  The grid runs from floor + step to search_hi, with
-    floor = -1 + TAU_POLE; one more sample at -1 + 2*TAU_POLE, just above the
-    pole at -1, covers the first cell (G is continuous on (-1, inf)).  G is
-    evaluated on the whole grid in one batched pass (``_grid_values``,
-    bit-identical to ``characteristic_value`` point by point); bisection
-    calls the scalar ``characteristic_value``.
+    The fine grid runs from floor + step to search_hi in ``grid_points``
+    steps, with floor = -1 + TAU_POLE; one more sample at -1 + 2*TAU_POLE,
+    just above the pole at -1, covers the first cell (G is continuous on
+    (-1, inf)).  Sign changes between neighbouring fine points are
+    bracketed and bisected to within REFINE_TOL, but G is computed on the
+    fine grid only where a bracket can be:
+
+    - G is first computed on every ``_COARSE``-th fine point and the last
+      one.  A coarse cell is kept when its end values differ in sign or one
+      is exactly 0.0, and when the coarse differences change sign (or one is
+      zero) between it and a neighbour: there G has an extremum, which may
+      hide two roots inside a cell whose ends share a sign; both cells next
+      to the turn are kept.  The first and the last cell, with no difference
+      known beyond them, are always kept.
+    - G is then computed at every fine point of the kept cells and the
+      fine pairs there are scanned as if the whole fine grid had been.
+
+    Values are bit-identical to ``characteristic_value`` point by point
+    (``_grid_values``), so the roots are those of the full fine scan unless
+    a root escapes the coarse test.  Undetected: tangential (double) roots,
+    which give no sign change at any resolution, and two roots in one cell
+    when G turns twice within three coarse cells, so that the coarse
+    differences do not change sign.  Bisection calls the scalar
+    ``characteristic_value``.
+
     Without an explicit ``search_hi`` the window starts at
     max(n_max, 4) + nu^(2/alpha_1) + 10 and doubles (up to three times) until
-    G is monotone positive at the top, since G grows like d_1 gamma^alpha_1;
-    if it still is not after the last doubling, a RootSearchWarning names
-    the window, since a root above it would be missed.
-    Tangential (double) roots produce no sign change and are not detected.
+    G is monotone positive on the top ``_TOP_WINDOW`` fine points, since G
+    grows like d_1 gamma^alpha_1; only those points are computed for a
+    window that is then doubled.  If G still is not monotone positive after
+    the last doubling, a RootSearchWarning names the window, since a root
+    above it would be missed.
 
     Caputo roots at or below n_max - 1 are returned flagged rather than
     dropped, so callers can report why they generate no solution.
@@ -223,15 +255,19 @@ def find_roots(
     hi = _default_search_hi(eq) if search_hi is None else float(search_hi)
     if hi <= floor:
         raise ValueError(f"search_hi={hi} must exceed the lower bound {floor}")
+    if grid_points < 1:
+        raise ValueError(f"grid_points={grid_points} must be at least 1")
+
+    def points(indices: Sequence[int]) -> List[float]:
+        # fine index i > 0 is floor + i*step; index 0 is the sample at `first`
+        return [floor + i * step if i else first for i in indices]
 
     attempts = _MAX_DOUBLINGS if search_hi is None else 0
     while True:
         step = (hi - floor) / grid_points
-        grid = [floor + i * step for i in range(1, grid_points + 1)]
-        if grid[0] > first:
-            grid.insert(0, first)
-        values = _grid_values(eq, grid)
-        if _tail_monotone_positive(values):
+        start = 0 if floor + step > first else 1
+        top = range(max(start, grid_points + 1 - _TOP_WINDOW), grid_points + 1)
+        if _tail_monotone_positive(_grid_values(eq, points(top))):
             break
         if attempts == 0:
             if search_hi is None:
@@ -246,15 +282,36 @@ def find_roots(
         hi = floor + 2.0 * (hi - floor)
         attempts -= 1
 
+    coarse = [*range(start, grid_points, _COARSE), grid_points]
+    values = _grid_values(eq, points(coarse))
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    # turns[j]: the coarse differences do not keep one strict sign across
+    # coarse point j, so cells j-1 and j are both kept; the two ends of the
+    # window count as turns, since no difference is known beyond them
+    turns = [True] + [not (a > 0 < b or a < 0 > b) for a, b in zip(diffs, diffs[1:])] + [True]
+    fine: List[int] = []
+    for j, (a, b) in enumerate(zip(values, values[1:])):
+        if a == 0.0 or b == 0.0 or (a < 0) != (b < 0) or turns[j] or turns[j + 1]:
+            if fine and fine[-1] == coarse[j]:
+                fine.pop()  # the right end of the kept cell just before
+            fine.extend(range(coarse[j], coarse[j + 1] + 1))
+
+    grid = points(fine)
+    fine_values = _grid_values(eq, grid)
     roots: List[CharacteristicRoot] = []
-    for (g_lo, f_lo), (g_hi, f_hi) in zip(zip(grid, values), zip(grid[1:], values[1:])):
+    for (i, g_lo, f_lo), (k, g_hi, f_hi) in zip(
+        zip(fine, grid, fine_values), zip(fine[1:], grid[1:], fine_values[1:])
+    ):
+        if k != i + 1:
+            continue  # the gap between two runs of kept cells
         if f_lo == 0.0:
             roots.append(CharacteristicRoot(g_lo, _status_for(eq, g_lo)))
         elif (f_lo < 0) != (f_hi < 0):
             g = _bisect(eq, g_lo, g_hi, f_lo)
             roots.append(CharacteristicRoot(g, _status_for(eq, g)))
-    if values and values[-1] == 0.0:
-        roots.append(CharacteristicRoot(grid[-1], _status_for(eq, grid[-1])))
+    if values[-1] == 0.0:
+        g = floor + grid_points * step
+        roots.append(CharacteristicRoot(g, _status_for(eq, g)))
 
     if not roots:
         warnings.warn(

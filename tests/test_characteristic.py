@@ -1,8 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
+import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _examples import (
@@ -15,6 +20,7 @@ from _examples import (
     example4,
     remark3_equation,
 )
+import quasibessel
 from quasibessel import (
     QuasiBesselEquation,
     RootStatus,
@@ -99,6 +105,9 @@ def test_find_roots_grid_refinement_stability():
     assert len(fine) >= len(coarse)
     for old in coarse:
         assert any(abs(new.gamma - old.gamma) < 1e-9 for new in fine)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match=f"grid_points={bad} must be at least 1"):
+            find_roots(eq, grid_points=bad)
 
 
 def test_find_roots_first_cell_above_pole():
@@ -135,6 +144,37 @@ def test_find_roots_warns_when_doubling_budget_runs_out():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert len(find_roots(eq, search_hi=100.0)) == 1
+
+
+def test_find_roots_terminates_on_root_above_float_resolution():
+    # the root near 1.056e6 sits where neighbouring floats are 1.16e-10 apart,
+    # more than REFINE_TOL, so bisection must stop on the float spacing; run
+    # in a child process so that a regression fails instead of hanging
+    code = (
+        "import json\n"
+        "from quasibessel import QuasiBesselEquation, Term, find_roots\n"
+        "from quasibessel.equation import DerivativeKind\n"
+        "for kind in DerivativeKind:\n"
+        "    eq = QuasiBesselEquation(terms=(Term(1.99, 0.126),), beta='1',\n"
+        "                             nu_squared=3.38**2, kind=kind)\n"
+        "    print(json.dumps([[r.gamma.hex(), r.status.value] for r in find_roots(eq)]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(quasibessel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    with mp.workdps(30):
+        ref = mp.findroot(
+            lambda g: 1.99 * mp.gamma(1 + g) / mp.gamma(1 + g - 0.126) - 3.38**2, 1.056e6
+        )
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        ((gamma_hex, status),) = json.loads(line)
+        assert status == "valid"
+        assert abs(float.fromhex(gamma_hex) - ref) <= 1e-6 * ref
 
 
 def test_find_roots_analytic_family_rl():
@@ -270,7 +310,8 @@ def test_grid_values_bit_identical_to_characteristic_value(case):
 
 
 # find_roots as it was before the batched grid, verbatim apart from the name
-# and the docstring: one characteristic_value call per grid point.
+# and the docstring: one characteristic_value call per point of the whole
+# fine grid.
 def _scalar_find_roots(eq, search_hi=None, grid_points=GRID_POINTS):
     if eq.m1 == 0:
         warnings.warn(
@@ -322,37 +363,149 @@ def _scalar_find_roots(eq, search_hi=None, grid_points=GRID_POINTS):
 
 
 @pytest.mark.parametrize(
-    "eq",
+    "eq, search_hi",
     [
         # G < 0 at the top of the first window: one doubling
-        QuasiBesselEquation(
-            terms=(Term(1.4, 1.7), Term(-29.87, 0.7), Term(0.2, 0.2, "0.8")),
-            beta="1.3",
-            nu_squared=2.53**2,
-            kind=RL,
+        (
+            QuasiBesselEquation(
+                terms=(Term(1.4, 1.7), Term(-29.87, 0.7), Term(0.2, 0.2, "0.8")),
+                beta="1.3",
+                nu_squared=2.53**2,
+                kind=RL,
+            ),
+            None,
         ),
         # three pure Bessel terms
-        QuasiBesselEquation(
-            terms=(Term(1.2, 1.2), Term(1.2, 0.6), Term(0.2, 0.2), Term(-0.4, 0.5, "0.5")),
-            beta="0.8",
-            nu_squared=0.66**2,
-            kind=RL,
+        (
+            QuasiBesselEquation(
+                terms=(Term(1.2, 1.2), Term(1.2, 0.6), Term(0.2, 0.2), Term(-0.4, 0.5, "0.5")),
+                beta="0.8",
+                nu_squared=0.66**2,
+                kind=RL,
+            ),
+            None,
         ),
         # an integer-order pure term (the falling-product path)
-        QuasiBesselEquation(
-            terms=(Term(1.0, 2.0), Term(0.5, 0.6)), beta="1", nu_squared=4.0, kind=RL
+        (
+            QuasiBesselEquation(
+                terms=(Term(1.0, 2.0), Term(0.5, 0.6)), beta="1", nu_squared=4.0, kind=RL
+            ),
+            None,
         ),
         # the root in the first cell above the pole
-        QuasiBesselEquation(
-            terms=(Term(0.7, 1.2), Term(0.8, 0.8), Term(0.9, 0.6, "0.2")),
-            beta="1.1",
-            nu_squared=2.07**2,
-            kind=CAPUTO,
+        (
+            QuasiBesselEquation(
+                terms=(Term(0.7, 1.2), Term(0.8, 0.8), Term(0.9, 0.6, "0.2")),
+                beta="1.1",
+                nu_squared=2.07**2,
+                kind=CAPUTO,
+            ),
+            None,
+        ),
+        # nu^2 just above a local minimum of G + nu^2: roots 2.33037 and
+        # 2.33270 lie in one coarse cell whose ends share a sign
+        (
+            QuasiBesselEquation(
+                terms=(Term(1.2, 1.86), Term(-3.29, 1.12), Term(4.927222040171153, 0.093)),
+                beta="1",
+                nu_squared=0.9515588557618456,
+                kind=CAPUTO,
+            ),
+            None,
+        ),
+        # G(-0.5) is exactly 0.0 (both denominators at a pole) at a coarse
+        # point where G rises through zero: the exact root and the bisected
+        # one from the cell below are both reported
+        (
+            QuasiBesselEquation(
+                terms=(Term(1.0, 1.5), Term(3.0, 0.5)), beta="1", nu_squared=0.0, kind=RL
+            ),
+            11.5,
+        ),
+        # G = -g^2 - 1.9 g - nu^2 peaks just above 0 at g = -0.95: both roots
+        # lie in the first coarse cell, with no difference known below it
+        (
+            QuasiBesselEquation(
+                terms=(Term(-1.0, 2.0), Term(-2.9, 1.0)),
+                beta="1",
+                nu_squared=0.9025 - 1e-4,
+                kind=RL,
+            ),
+            None,
+        ),
+        # G = -g^2 + 20 g - nu^2 peaks just above 0 at g = 10, both roots in
+        # the last coarse cell, with no difference known above it
+        (
+            QuasiBesselEquation(
+                terms=(Term(-1.0, 2.0), Term(19.0, 1.0)),
+                beta="1",
+                nu_squared=100.0 - 1e-6,
+                kind=RL,
+            ),
+            10.005,
         ),
     ],
-    ids=["doubling", "three-pure", "integer-order", "first-cell"],
+    ids=[
+        "doubling",
+        "three-pure",
+        "integer-order",
+        "first-cell",
+        "close-pair",
+        "exact-zero",
+        "pair-in-first-coarse-cell",
+        "pair-in-last-coarse-cell",
+    ],
 )
-def test_find_roots_matches_scalar_grid_loop(eq):
-    roots = find_roots(eq)
-    assert roots
-    assert roots == _scalar_find_roots(eq)
+def test_find_roots_matches_scalar_grid_loop(eq, search_hi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RootSearchWarning)
+        roots = find_roots(eq, search_hi)
+        assert roots
+        assert roots == _scalar_find_roots(eq, search_hi)
+
+
+@st.composite
+def _near_extremum_equation(draw):
+    """1-3 pure terms with nu^2 just past a local extremum of
+    G + nu^2 = sum d_i Q_i, so that G has two close roots there."""
+    alphas = draw(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=3))
+    ds = [draw(st.floats(0.05, 3.0)) * draw(_SIDE) for _ in alphas]
+    kind = draw(st.sampled_from((CAPUTO, RL)))
+    bare = QuasiBesselEquation(
+        terms=tuple(Term(d, a) for d, a in zip(ds, alphas)), beta="1", kind=kind
+    )
+    xs = [-1.0 + 15.0 * k / 400 for k in range(1, 401)]
+    v = _grid_values(bare, xs)
+    turns = [k for k in range(1, 399) if (v[k] - v[k - 1]) * (v[k + 1] - v[k]) < 0]
+    assume(turns)
+    k = draw(st.sampled_from(turns))
+    peak = v[k] > v[k - 1]
+    lo, hi = xs[k - 1], xs[k + 1]
+    for _ in range(60):  # ternary search for the extremum
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if (characteristic_value(bare, m1) < characteristic_value(bare, m2)) == peak:
+            lo = m1
+        else:
+            hi = m2
+    top = characteristic_value(bare, 0.5 * (lo + hi))
+    if top < 0:  # flip G + nu^2 so that the extremum value is >= 0
+        ds, top, peak = [-d for d in ds], -top, not peak
+    delta = 10.0 ** draw(st.floats(-8.0, -2.0)) * (1.0 + top)
+    nu_squared = top - delta if peak else top + delta
+    assume(nu_squared >= 0.0)
+    return QuasiBesselEquation(
+        terms=tuple(Term(d, a) for d, a in zip(ds, alphas)),
+        beta="1",
+        nu_squared=nu_squared,
+        kind=kind,
+    )
+
+
+# one window, (-1, 15], holding every extremum drawn: the scalar reference
+# costs ~10 ms per pure term and window, and the doublings are covered above
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(eq=_near_extremum_equation())
+def test_find_roots_matches_scalar_grid_loop_near_extremum(eq):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RootSearchWarning)
+        assert find_roots(eq, 15.0) == _scalar_find_roots(eq, 15.0)
