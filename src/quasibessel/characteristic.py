@@ -146,9 +146,8 @@ def _grid_values(eq: QuasiBesselEquation, grid: Sequence[float]) -> List[float]:
 
 
 def _status_for(eq: QuasiBesselEquation, gamma: float) -> RootStatus:
-    if eq.kind is DerivativeKind.CAPUTO and eq.n_max is not None:
-        if gamma <= eq.n_max - 1 + 1e-12:
-            return RootStatus.BELOW_CAPUTO_FLOOR
+    if gamma <= eq.caputo_floor() + 1e-12:
+        return RootStatus.BELOW_CAPUTO_FLOOR
     return RootStatus.VALID
 
 

@@ -17,8 +17,13 @@ the shifting indices survive parsing exactly.  Schema:
     }
 
 Exit codes: 0 success (at least one valid, converged root); 2 validation
-failure; 3 no valid roots; 4 numerical failure (denominator pole, overflow,
-or nothing converged).
+failure; 3 no valid roots, or ``--root`` names a root that is not valid;
+4 numerical failure (overflow in the root search, every valid root failing
+with a denominator pole or overflow, or no series converging).  Exits 2 and
+a root-search overflow write nothing.  Every other exit 3 or 4 still writes
+roots.csv and report.txt, plus the coefficient, solution and residual CSVs
+of each root whose series was built.  A nonzero exit prints one ``error:``
+line to stderr, or one per fatal issue when validation fails.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -78,11 +84,6 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _pretty(v: float) -> str:
-    """Shortest round-trip formatting, used in the report."""
-    return repr(v)
-
-
 def _require(spec: dict, key: str) -> object:
     if key not in spec:
         raise SpecFileError(f"spec is missing required field {key!r}")
@@ -123,7 +124,6 @@ def load_spec(path: Path) -> dict:
 
 
 def build_equation(spec: dict) -> QuasiBesselEquation:
-    kind = DerivativeKind.from_string(str(_require(spec, "kind")))
     form = str(_require(spec, "form"))
     raw_terms = _require(spec, "terms")
     if not isinstance(raw_terms, list) or not raw_terms:
@@ -131,6 +131,7 @@ def build_equation(spec: dict) -> QuasiBesselEquation:
     r = _as_float(spec.get("r", "1"), "r")
     nu = _as_float(spec.get("nu", "0"), "nu")
     try:
+        kind = DerivativeKind.from_string(str(_require(spec, "kind")))
         if form == "quasi_bessel":
             terms = tuple(
                 Term(
@@ -184,6 +185,8 @@ def _domain_grid(spec: dict) -> Tuple[float, float, List[float]]:
     x_min = _as_float(_require(domain, "x_min"), "x_min")
     x_max = _as_float(_require(domain, "x_max"), "x_max")
     n_points = _as_int(_require(domain, "n_points"), "n_points")
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise SpecFileError(f"domain bounds must be finite, got [{x_min}, {x_max}]")
     if x_min <= 0 or x_max < x_min:
         raise SpecFileError(f"need 0 < x_min <= x_max, got [{x_min}, {x_max}]")
     if n_points < 1:
@@ -201,6 +204,8 @@ def _options(
     overrides, when given, replace the spec's values."""
     options = _as_object(spec.get("options", {}), "'options'")
     c0 = _as_float(options.get("c0", "1"), "c0")
+    if not math.isfinite(c0):
+        raise SpecFileError(f"c0 must be finite, got {c0!r}")
     if max_terms is None:
         max_terms = _as_int(options.get("n_terms_max", MAX_TERMS), "n_terms_max")
     if eps_tail is None:
@@ -217,26 +222,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]])
         writer.writerows(rows)
 
 
-@dataclass
-class _RootOutcome:
-    index: int
-    root: CharacteristicRoot
-    solution: Optional[SeriesSolution] = None
-    max_residual: Optional[float] = None
-    failure: Optional[str] = None
-    oracle_line: Optional[str] = None
-
-
-def _root_rows(eq, roots: Sequence[CharacteristicRoot]) -> List[List[str]]:
-    rows = []
-    for root in roots:
-        step = "" if root.collision_step is None else str(root.collision_step)
-        rows.append(
-            [_fmt(root.gamma), root.status.value, step, _fmt(characteristic_value(eq, root.gamma))]
-        )
-    return rows
-
-
 def _oracle_check(
     eq, sol: SeriesSolution, xs: Sequence[float], u_vals: Sequence[float]
 ) -> Optional[str]:
@@ -251,8 +236,8 @@ def _oracle_check(
     for x, u, e in zip(xs, u_vals, closed):
         worst = max(worst, abs(u - sol.c0 * x**sol.gamma * e))
     return (
-        f"oracle: max |series - c0 x^gamma E_({_pretty(params.alpha)},{_pretty(params.m)},"
-        f"{_pretty(params.l)})({_pretty(lam)} x^{_pretty(sol.s)})| = {_pretty(worst)}"
+        f"oracle: max |series - c0 x^gamma E_({params.alpha!r},{params.m!r},"
+        f"{params.l!r})({lam!r} x^{sol.s!r})| = {worst!r}"
     )
 
 
@@ -264,7 +249,12 @@ def solve_command(
     max_terms: Optional[int] = None,
     eps_tail: Optional[float] = None,
 ) -> int:
-    """Run the full pipeline and write the report and CSVs to output_dir."""
+    """Run the full pipeline and write the report and CSVs to output_dir.
+
+    One pass: each selected root's report line is appended as its series is
+    built, roots.csv and report.txt are written once after the last root, and
+    the exit code and its stderr line are chosen once, after that write.
+    """
     try:
         spec = load_spec(spec_path)
         eq = build_equation(spec)
@@ -281,8 +271,8 @@ def solve_command(
         "equation terms (d, alpha, p in units of r):",
     ]
     for t in eq.terms:
-        report.append(f"  d={_pretty(t.d)}  alpha={_pretty(t.alpha)}  p={t.p}")
-    report.append(f"beta = {eq.beta} (units of r),  nu^2 = {_pretty(eq.nu_squared)},  r = {_pretty(eq.r)}")
+        report.append(f"  d={t.d!r}  alpha={t.alpha!r}  p={t.p}")
+    report.append(f"beta = {eq.beta} (units of r),  nu^2 = {eq.nu_squared!r},  r = {eq.r!r}")
     warning_lines: List[str] = []
 
     check = validate(eq)
@@ -305,14 +295,18 @@ def solve_command(
     report += [
         "",
         "step plan:",
-        f"  s = {plan.s} in units of r;  step s*r = {_pretty(plan.step_value)}",
+        f"  s = {plan.s} in units of r;  step s*r = {plan.step_value!r}",
         f"  n_beta = {plan.n_beta}" + (f";  shifts: {shifts}" if shifts else ""),
         f"  N_LCD = {plan.lcd},  N_gcf = {plan.gcf}",
     ]
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        roots = find_roots(eq)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            roots = find_roots(eq)
+    except OverflowError as exc:
+        print(f"error: numerical failure in the root search: overflow ({exc})", file=sys.stderr)
+        return EXIT_NUMERICAL
     for w in caught:
         warning_lines.append(f"[W_ROOT_SEARCH] {w.message}")
     present = {round(r.gamma, 9) for r in roots}
@@ -327,7 +321,7 @@ def solve_command(
     report += ["", "roots:"]
     for k, root in enumerate(roots):
         extra = f" (collides after {root.collision_step} steps)" if root.collision_step else ""
-        report.append(f"  [{k}] gamma = {_pretty(root.gamma)}  status = {root.status.value}{extra}")
+        report.append(f"  [{k}] gamma = {root.gamma!r}  status = {root.status.value}{extra}")
 
     # threshold and uniqueness bound (Caputo only)
     report.append("")
@@ -336,8 +330,8 @@ def solve_command(
             threshold = nu_min_threshold(eq)
             ok = eq.nu_squared >= threshold
             report.append(
-                f"convergence threshold: nu^2_min = {_pretty(threshold)}; "
-                f"nu^2 = {_pretty(eq.nu_squared)} "
+                f"convergence threshold: nu^2_min = {threshold!r}; "
+                f"nu^2 = {eq.nu_squared!r} "
                 + ("satisfies the guarantee" if ok else "is below the guarantee")
             )
             if not ok:
@@ -351,56 +345,49 @@ def solve_command(
         bound = uniqueness_bound(eq, x_max)
         unique = eq.nu_squared > bound
         report.append(
-            f"uniqueness bound at b = {_pretty(x_max)}: {_pretty(bound)}; nu^2 "
+            f"uniqueness bound at b = {x_max!r}: {bound!r}; nu^2 "
             + ("exceeds it (IVP solution unique)" if unique else "does not exceed it")
         )
     else:
         report.append("convergence threshold: not required for Riemann-Liouville derivatives")
 
-    valid = [(k, r) for k, r in enumerate(roots) if r.is_valid]
-    if root_index is not None:
-        valid = [(k, r) for k, r in valid if k == root_index]
-        if not valid:
-            _finish(output_dir, eq, roots, report, warning_lines)
-            print(f"error: --root {root_index} is not a valid root index", file=sys.stderr)
-            return EXIT_NO_ROOTS
-    if not valid:
-        _finish(output_dir, eq, roots, report, warning_lines)
-        print("error: no valid characteristic roots; no series solution exists", file=sys.stderr)
-        return EXIT_NO_ROOTS
-
-    outcomes: List[_RootOutcome] = []
-    for k, root in valid:
-        outcome = _RootOutcome(index=k, root=root)
+    selected = [k for k, r in enumerate(roots) if r.is_valid and root_index in (None, k)]
+    if selected:
+        report += ["", "series solutions:"]
+    built = converged = 0
+    for k in selected:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 sol = build_coefficients(
-                    eq, root.gamma, plan, c0=c0,
+                    eq, roots[k].gamma, plan, c0=c0,
                     x_max=x_max, eps_tail=tail_eps, max_terms=n_terms_max,
                 )
                 u_vals = evaluate(sol, xs)
                 res_vals = residual(eq, sol, xs)
-            for w in caught:
-                warning_lines.append(f"[W_CANCELLATION] root {k}: {w.message}")
-        except DenominatorPoleError as exc:
-            outcome.failure = str(exc)
-            roots[k] = replace(root, status=RootStatus.DENOMINATOR_POLE)
-            warning_lines.append(f"[W_DENOMINATOR_POLE] root {k}: {exc}")
-            outcomes.append(outcome)
-            continue
         except ArithmeticError as exc:
-            outcome.failure = str(exc)
-            warning_lines.append(f"[W_OVERFLOW] root {k}: {exc}")
-            outcomes.append(outcome)
+            if isinstance(exc, DenominatorPoleError):
+                roots[k] = replace(roots[k], status=RootStatus.DENOMINATOR_POLE)
+                warning_lines.append(f"[W_DENOMINATOR_POLE] root {k}: {exc}")
+            else:
+                warning_lines.append(f"[W_OVERFLOW] root {k}: {exc}")
+            report.append(f"  root [{k}]: failed - {exc}")
             continue
-        outcome.solution = sol
-        outcome.max_residual = max(abs(v) for v in res_vals)
-        if not sol.truncation.converged:
+        for w in caught:
+            warning_lines.append(f"[W_CANCELLATION] root {k}: {w.message}")
+        trunc = sol.truncation
+        built += 1
+        converged += trunc.converged
+        if not trunc.converged:
             warning_lines.append(
                 f"[W_NOT_CONVERGED] root {k}: truncation cap {n_terms_max} reached "
                 "before the tail fell below eps_tail"
             )
+        report.append(
+            f"  root [{k}]: gamma = {sol.gamma!r}  N = {trunc.terms_used}  "
+            f"tail_estimate = {trunc.tail_estimate!r}  converged = {trunc.converged}  "
+            f"max |residual| on grid = {max(map(abs, res_vals))!r}"
+        )
         _write_csv(
             output_dir / f"coefficients_{k}.csv",
             ["n", "c_n", "exponent"],
@@ -420,66 +407,44 @@ def solve_command(
             [[_fmt(x), _fmt(v)] for x, v in zip(xs, res_vals)],
         )
         if oracle:
-            outcome.oracle_line = _oracle_check(eq, sol, xs, u_vals)
-            if outcome.oracle_line is None:
+            oracle_line = _oracle_check(eq, sol, xs, u_vals)
+            if oracle_line is None:
                 warning_lines.append(
                     "[W_NO_ORACLE] no closed-form oracle applies to this equation "
                     "(needs a single derivative term with p = 0 and nu = 0)"
                 )
-        outcomes.append(outcome)
+            else:
+                report.append(f"  root [{k}]: {oracle_line}")
 
-    report += ["", "series solutions:"]
-    built = []
-    for outcome in outcomes:
-        k = outcome.index
-        if outcome.failure is not None:
-            report.append(f"  root [{k}]: failed - {outcome.failure}")
-            continue
-        sol = outcome.solution
-        assert sol is not None
-        built.append(outcome)
-        report.append(
-            f"  root [{k}]: gamma = {_pretty(sol.gamma)}  N = {sol.truncation.terms_used}  "
-            f"tail_estimate = {_pretty(sol.truncation.tail_estimate)}  "
-            f"converged = {sol.truncation.converged}  "
-            f"max |residual| on grid = {_pretty(outcome.max_residual or 0.0)}"
-        )
-        if outcome.oracle_line:
-            report.append(f"  root [{k}]: {outcome.oracle_line}")
-
-    _finish(output_dir, eq, roots, report, warning_lines)
-
-    if not built:
-        print("error: every valid root failed numerically", file=sys.stderr)
-        return EXIT_NUMERICAL
-    if not any(o.solution.truncation.converged for o in built):
-        print("error: no series reached the tail tolerance", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
-
-
-def _finish(
-    output_dir: Path,
-    eq: QuasiBesselEquation,
-    roots: Sequence[CharacteristicRoot],
-    report: List[str],
-    warning_lines: List[str],
-) -> None:
-    """Write roots.csv, with the statuses the series build left, and report.txt."""
+    # roots.csv carries the statuses the series build left
     _write_csv(
         output_dir / "roots.csv",
         ["gamma", "status", "collision_step", "G"],
-        _root_rows(eq, roots),
+        [
+            [
+                _fmt(r.gamma), r.status.value,
+                "" if r.collision_step is None else str(r.collision_step),
+                _fmt(characteristic_value(eq, r.gamma)),
+            ]
+            for r in roots
+        ],
     )
-    report = list(report)
-    report.append("")
-    if warning_lines:
-        report.append("warnings:")
-        report.extend(f"  {line}" for line in warning_lines)
-    else:
-        report.append("warnings: none")
-    report.append("")
+    report += ["", "warnings:" if warning_lines else "warnings: none"]
+    report += [f"  {line}" for line in warning_lines] + [""]
     (output_dir / "report.txt").write_text("\n".join(report), encoding="utf-8")
+
+    if not selected and root_index is not None:
+        code, error = EXIT_NO_ROOTS, f"--root {root_index} is not a valid root index"
+    elif not selected:
+        code, error = EXIT_NO_ROOTS, "no valid characteristic roots; no series solution exists"
+    elif not built:
+        code, error = EXIT_NUMERICAL, "every valid root failed numerically"
+    elif not converged:
+        code, error = EXIT_NUMERICAL, "no series reached the tail tolerance"
+    else:
+        return EXIT_OK
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -233,10 +233,21 @@ def validate(eq: QuasiBesselEquation) -> ValidationReport:
 
     Rationality of p_i/r and beta/r is already enforced at construction
     (shifting indices are stored as exact fractions), so the checks here are
-    the leading-term condition and the sign condition on the pure Bessel
-    coefficients.
+    a derivative term's presence, the leading-term condition and the sign
+    condition on the pure Bessel coefficients.
     """
     issues = []
+    if ceil_order(eq.alpha1) == 0:
+        issues.append(
+            ValidationIssue(
+                code="E_NO_DERIVATIVE",
+                severity=FATAL,
+                message=(
+                    f"the highest derivative order is {eq.alpha1}: without a derivative "
+                    "term the equation is algebraic and has no series solution"
+                ),
+            )
+        )
     if not eq.terms[0].is_pure_bessel:
         issues.append(
             ValidationIssue(
@@ -314,22 +325,28 @@ def uniqueness_bound(eq: QuasiBesselEquation, b: float) -> float:
     The IVP solution is unique whenever nu^2 exceeds
     b1^beta + sum_i q_i |d_i| b1^(n_i + p_i), with b1 = max(1, b) and
     q_i = 1/(Gamma(n_i - alpha_i) (n_i - alpha_i + 1)) for fractional orders,
-    q_i = 1 for integer orders.
+    q_i = 1 for integer orders.  The bound is +inf when a power of b1 exceeds
+    the float range.
     """
     if eq.kind is not DerivativeKind.CAPUTO:
         raise ValueError("uniqueness_bound applies to Caputo equations only")
     if b <= 0:
         raise ValueError(f"domain endpoint must be positive, got {b}")
     b1 = max(1.0, b)
-    total = b1 ** eq.beta_value
-    for i, t in enumerate(eq.terms):
-        n_i = ceil_order(t.alpha)
-        if is_integer_order(t.alpha):
-            q_i = 1.0
-        else:
-            gap = n_i - t.alpha
-            q_i = 1.0 / (math.gamma(gap) * (gap + 1.0))
-        total += q_i * abs(t.d) * b1 ** (n_i + eq.p_value(i))
+    try:
+        total = b1 ** eq.beta_value
+        for i, t in enumerate(eq.terms):
+            if t.d == 0.0:
+                continue
+            n_i = ceil_order(t.alpha)
+            if is_integer_order(t.alpha):
+                q_i = 1.0
+            else:
+                gap = n_i - t.alpha
+                q_i = 1.0 / (math.gamma(gap) * (gap + 1.0))
+            total += q_i * abs(t.d) * b1 ** (n_i + eq.p_value(i))
+    except OverflowError:  # a power of b1 beyond the float range: every summand is >= 0
+        return math.inf
     return total
 
 

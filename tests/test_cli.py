@@ -4,13 +4,17 @@ from pathlib import Path
 
 import pytest
 
+from quasibessel import characteristic, cli, series, specialfn
 from quasibessel.cli import (
     EXIT_NO_ROOTS,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
     solve_command,
 )
+
+SOLVEBENCH = Path(__file__).resolve().parents[1] / "solvebench"
 
 EXAMPLE1_SPEC = {
     "kind": "caputo",
@@ -132,6 +136,12 @@ def test_malformed_spec_files(tmp_path, capsys):
         ("domain", dict(domain, n_points="abc")),
         ("domain", dict(domain, n_points=4.7)),
         ("domain", 5),
+        ("domain", dict(domain, x_min="nan")),
+        ("domain", dict(domain, x_max="inf")),
+        ("options", {"c0": "inf"}),
+        ("kind", "foo"),
+        ("kind", 5),
+        ("terms", [{"d": "1", "alpha": "0", "p": "0"}]),
     ]
     for key, value in bad_fields:
         capsys.readouterr()
@@ -148,6 +158,74 @@ def test_root_index_restriction(tmp_path):
     assert (out / "coefficients_2.csv").exists()
     # index 0 is collision-invalid: not selectable
     assert solve_command(spec, tmp_path / "out2", root_index=0) == EXIT_NO_ROOTS
+
+
+def test_no_selected_root_still_writes_roots_and_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, NOSOL_SPEC), out, root_index=0) == EXIT_NO_ROOTS
+    assert capsys.readouterr().err == "error: --root 0 is not a valid root index\n"
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt", "roots.csv"]
+    assert len(read_csv(out / "roots.csv")) == 3
+    report = (out / "report.txt").read_text()
+    assert "roots:" in report
+    assert "series solutions:" not in report
+
+
+def test_unconverged_series_exits_numerical(tmp_path, capsys):
+    spec = dict(EXAMPLE1_SPEC, options={"n_terms_max": 1})
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "error: no series reached the tail tolerance\n"
+    for name in ("coefficients_1.csv", "solution_1.csv", "residual_1.csv"):
+        assert (out / name).exists()
+    report = (out / "report.txt").read_text()
+    assert "  root [1]: gamma = " in report and "converged = False" in report
+    assert "[W_NOT_CONVERGED] root 1: truncation cap 1 reached" in report
+
+
+def test_uniqueness_bound_overflow_reported_as_inf(tmp_path):
+    spec = dict(EXAMPLE1_SPEC, domain=dict(EXAMPLE1_SPEC["domain"], x_max="1e300"))
+    out = tmp_path / "out"
+    # the series cannot be summed at x = 1e300, but the report is still written
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_NUMERICAL
+    report = (out / "report.txt").read_text()
+    assert "uniqueness bound at b = 1e+300: inf; nu^2 does not exceed it" in report
+
+
+def test_root_search_overflow_exits_numerical(tmp_path, capsys):
+    # Gamma(1+gamma)/Gamma(1+gamma-400.5) overflows on the scan grid
+    spec = dict(EXAMPLE1_SPEC, terms=[{"d": "1", "alpha": "400.5", "p": "0"}])
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure") and "overflow" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_tracer_times_every_stage(tmp_path, monkeypatch):
+    # solvebench/tracing.py wraps the stages by their names in the cli module,
+    # so a stage called from anywhere else would read zero time here
+    monkeypatch.syspath_prepend(str(SOLVEBENCH))
+    import tracing
+
+    modules = (characteristic, cli, series, specialfn)
+    saved = [(module, dict(vars(module))) for module in modules]
+    try:
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        spec = write_spec(tmp_path, ML_SPEC)
+        assert cli.solve_command(spec, tmp_path / "out", oracle=True) == EXIT_OK
+        metrics = tracer.snapshot()
+    finally:
+        for module, attrs in saved:
+            for name, value in attrs.items():
+                setattr(module, name, value)
+    for _, metric in tracing.TIMED_STAGES:
+        assert metrics.get(metric, 0) > 0, metric
+    for metric in ("characteristic.roots", "series.terms", "series.term_points"):
+        assert metrics.get(metric, 0) > 0, metric
+    assert cli.solve_command is solve_command
 
 
 def test_caputo_mittag_leffler_path(tmp_path):

@@ -72,6 +72,15 @@ def test_validate_warns_on_nonpositive_bessel_coefficient():
     assert report.warning_issues[0].code == "W_NONPOSITIVE_BESSEL_COEFFICIENT"
 
 
+@pytest.mark.parametrize("kind", [CAPUTO, RL])
+def test_validate_rejects_equation_without_derivative(kind):
+    # order 0 is an algebraic equation; the root search would divide by alpha1
+    eq = QuasiBesselEquation(terms=(Term(1.0, 0.0, "0"),), beta="2", nu_squared=4.0, kind=kind)
+    report = validate(eq)
+    assert not report.is_valid
+    assert [i.code for i in report.fatal_issues] == ["E_NO_DERIVATIVE"]
+
+
 def test_nu_min_threshold_inapplicable_for_integer_orders():
     with pytest.raises(ValueError):
         nu_min_threshold(example2())  # no fractional pure Bessel term
@@ -197,3 +206,14 @@ def test_transformed_powers_are_exact():
         alpha_exact = a1 - t.p
         assert t.p == a1 - alpha_exact
         assert float(alpha_exact) == pytest.approx(t.alpha, abs=1e-15)
+
+
+def test_uniqueness_bound_overflow_is_inf():
+    # 1e300 ** 2 is beyond the float range, so the bound exceeds every nu^2
+    assert uniqueness_bound(example1(2.0), 1e300) == math.inf
+    # a zero coefficient adds nothing, even where its power would overflow
+    eq = QuasiBesselEquation(
+        terms=(Term(1.0, 0.5, "0"), Term(0.0, 0.5, "400")), beta="1", kind=CAPUTO
+    )
+    expected = 1e10 * (1.0 + 2.0 / (3.0 * math.sqrt(math.pi)))
+    assert uniqueness_bound(eq, 1e10) == pytest.approx(expected, rel=1e-12)
