@@ -208,6 +208,8 @@ def _options(
         raise SpecFileError(f"c0 must be finite, got {c0!r}")
     if max_terms is None:
         max_terms = _as_int(options.get("n_terms_max", MAX_TERMS), "n_terms_max")
+    if max_terms < 1:
+        raise SpecFileError(f"n_terms_max (--max-terms) must be >= 1, got {max_terms}")
     if eps_tail is None:
         eps_tail = _as_float(options.get("eps_tail", repr(EPS_TAIL)), "eps_tail")
     if not eps_tail > 0:

@@ -26,11 +26,15 @@ x^(gamma+s(n+n_pi)) and x^(gamma+s(n+n_beta)), lies on the series lattice,
 so the residual is folded onto integer lattice slots and evaluated as one
 more coefficient vector.
 
-Evaluation and residual share one summation: the terms c_n x^(gamma+s*n) at
-each x are added with math.fsum, which returns their exactly rounded sum; the
-only error left is that of each computed term, about 2 ulp at its float
-exponent e = gamma + s*n.  The rounding of e itself adds a relative error of
-about |e ln x| ulp to the term.
+Evaluation and residual sum differently.  evaluate adds the terms
+c_n x^(gamma+s*n) at each x with math.fsum, which returns their exactly
+rounded sum; the only error left is that of each computed term, about 2 ulp
+at its float exponent e = gamma + s*n, and the rounding of e itself adds a
+relative error of about |e ln x| ulp to the term.  residual sums its slot
+vector F by Horner's rule in y = x^s on the integer slot indices and scales
+by x^gamma: two pow calls per point and no float exponent.  Its few-M-ulp
+error sits on F, whose entries are already rounding-level, so it is far
+below anything the residual can show.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order
 from .gammafn import TAU_POLE, gamma_ratio
@@ -262,25 +266,14 @@ def build_coefficients(
     )
 
 
-def _lattice_terms(
-    coefficients: Sequence[float], gamma: float, s: float, xs: Sequence[float]
-) -> Iterator[List[float]]:
-    """For each x, the terms c_n x^(gamma + s*n) over the nonzero c_n, to be
-    summed exactly rounded with math.fsum (Shewchuk 1997).  Each term carries
-    about 2 ulp of error at its float exponent: one rounding in pow, one in
-    the product."""
-    lattice = [(c, gamma + s * n) for n, c in enumerate(coefficients) if c != 0.0]
-    for x in xs:
-        yield [c * x**e for c, e in lattice]
-
-
 def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     """Evaluate the truncated series on a grid of x > 0 (x = 0 is accepted
     when every exponent is nonnegative).
 
-    The value at each x is the exactly rounded sum of the computed terms
-    c_n x^(gamma+s*n), each within about 2 ulp of its value at the float
-    exponent, so the summation order adds no error; the rounding of the
+    The value at each x is the exactly rounded sum (math.fsum, Shewchuk
+    1997) of the computed terms c_n x^(gamma+s*n), each within about 2 ulp
+    of its value at the float exponent -- one rounding in pow, one in the
+    product -- so the summation order adds no error; the rounding of the
     exponent adds about |exponent * ln x| ulp per term.  When the largest
     term exceeds 1e15 times the sum the digits are gone to cancellation; a
     CancellationWarning is issued once and no compensation is attempted.
@@ -288,9 +281,13 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     for x in xs:
         if x < 0:
             raise ValueError(f"series is defined for x >= 0, got {x}")
+    lattice = [
+        (c, sol.gamma + sol.s * n) for n, c in enumerate(sol.coefficients) if c != 0.0
+    ]
     out = []
     lost = False
-    for terms in _lattice_terms(sol.coefficients, sol.gamma, sol.s, xs):
+    for x in xs:
+        terms = [c * x**e for c, e in lattice]
         total = math.fsum(terms)
         largest = max(max(terms), -min(terms)) if terms else 0.0
         if largest > _CANCELLATION_RATIO * abs(total):
@@ -347,10 +344,17 @@ def residual(
     rule, and every power the equation produces lies on the series lattice:
     term i maps c_n x^(gamma+s*n) into slot n + n_p[i] (n_p = 0 for pure
     Bessel terms), x^beta into slot n + n_beta and -nu^2 into slot n.  Each
-    slot is summed exactly rounded with math.fsum, and the slot vector is
-    evaluated like a series, so the result is the genuine defect of the
-    truncated series up to rounding: slots up to the truncation point hold
-    the rounding of the recursion, the slots beyond it the truncation tail.
+    slot is summed exactly rounded with math.fsum, so the result is the
+    genuine defect of the truncated series up to rounding: slots up to the
+    truncation point hold the rounding of the recursion, the slots beyond it
+    the truncation tail.
+
+    The slot vector F_0..F_M is summed at each x by Horner's rule in
+    y = x^s, r(x) = x^gamma * (...(F_M*y + F_(M-1))*y + ... + F_0).  With
+    the rounding of y amplified m-fold in y^m, the error is at most about
+    3M eps sum_m |F_m| x^(gamma+s*m) (Higham 2002, section 5.1): M eps
+    relative to a quantity that is itself the residual's rounding level.
+    A result that is not finite raises OverflowError, as x**e does.
     """
     plan = compute_step(eq)
     shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
@@ -368,8 +372,18 @@ def residual(
     for x in xs:
         if x <= 0:
             raise ValueError(f"residual is defined for x > 0, got {x}")
-    folded = [math.fsum(slot) for slot in slots]
-    return list(map(math.fsum, _lattice_terms(folded, sol.gamma, sol.s, xs)))
+    folded = [math.fsum(slot) for slot in reversed(slots)]  # F_M first
+    out = []
+    for x in xs:
+        y = x**sol.s
+        acc = 0.0
+        for f in folded:
+            acc = acc * y + f
+        r = x**sol.gamma * acc
+        if not math.isfinite(r):
+            raise OverflowError(f"residual overflows at x = {x!r}")
+        out.append(r)
+    return out
 
 
 def c0_for_initial_derivative(gamma: float, mu: float, value: float) -> float:

@@ -132,6 +132,8 @@ def test_malformed_spec_files(tmp_path, capsys):
         ("options", {"eps_tail": "zz"}),
         ("options", {"eps_tail": "0"}),
         ("options", {"n_terms_max": "x"}),
+        ("options", {"n_terms_max": "0"}),
+        ("options", {"n_terms_max": "-5"}),
         ("options", [1, 2]),
         ("domain", dict(domain, n_points="abc")),
         ("domain", dict(domain, n_points=4.7)),
@@ -149,6 +151,12 @@ def test_malformed_spec_files(tmp_path, capsys):
         assert solve_command(spec, tmp_path / "out") == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    capsys.readouterr()
+    out = tmp_path / "capped"
+    assert solve_command(write_spec(tmp_path, EXAMPLE1_SPEC), out, max_terms=0) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: n_terms_max (--max-terms) must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_root_index_restriction(tmp_path):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from _examples import (
     CAPUTO,
@@ -32,7 +34,7 @@ from quasibessel import (
     frac_derivative_power,
     residual,
 )
-from quasibessel.equation import DerivativeKind
+from quasibessel.equation import DerivativeKind, ceil_order
 from quasibessel.series import Truncation
 
 
@@ -385,6 +387,97 @@ def test_residual_propagates_derivative_errors():
     )
     with pytest.raises(DerivativeUndefinedError):
         residual(eq, sol, [1.0])
+
+
+def test_residual_overflow_raises():
+    # exp(-x) at x = 1e20: the slots reach y^30 = 1e600
+    eq = example2()
+    sol = build_coefficients(eq, 0.0, compute_step(eq), n_terms=30)
+    with pytest.raises(OverflowError):
+        residual(eq, sol, [1e20])
+
+
+# The residual as it was before the Horner sum, verbatim apart from the names
+# and from the slot folding being split out: one pow per nonzero slot and an
+# exactly rounded sum.
+def _folded_slots(eq, sol):
+    plan = compute_step(eq)
+    shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
+    slots = [
+        [] for _ in range(len(sol.coefficients) + max(shifts + [plan.n_beta]))
+    ]
+    for n, c in enumerate(sol.coefficients):
+        if c == 0.0:
+            continue
+        q = sol.gamma + sol.s * n
+        for t, shift in zip(eq.terms, shifts):
+            slots[n + shift].append(t.d * c * frac_derivative_power(eq.kind, t.alpha, q))
+        slots[n + plan.n_beta].append(c)
+        slots[n].append(-eq.nu_squared * c)
+    return [math.fsum(slot) for slot in slots]
+
+
+def _lattice_terms(coefficients, gamma, s, xs):
+    lattice = [(c, gamma + s * n) for n, c in enumerate(coefficients) if c != 0.0]
+    for x in xs:
+        yield [c * x**e for c, e in lattice]
+
+
+def _fsum_residual(eq, sol, xs):
+    for x in xs:
+        if x <= 0:
+            raise ValueError(f"residual is defined for x > 0, got {x}")
+    folded = _folded_slots(eq, sol)
+    return list(map(math.fsum, _lattice_terms(folded, sol.gamma, sol.s, xs)))
+
+
+_BETAS = st.sampled_from([Fraction(1, 5), Fraction(1, 2), Fraction(2), Fraction(3)])
+
+
+@st.composite
+def _series_and_points(draw):
+    beta = draw(_BETAS)
+    kind = draw(st.sampled_from((CAPUTO, RL)))
+    n_terms = draw(st.integers(1, 3))
+    alphas = draw(st.lists(st.floats(0.1, 2.5), min_size=n_terms, max_size=n_terms))
+    ds = draw(st.lists(st.floats(0.2, 3.0), min_size=n_terms, max_size=n_terms))
+    signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n_terms, max_size=n_terms))
+    ps = [Fraction(0)] + draw(
+        st.lists(st.sampled_from((0, beta / 2, beta, 2 * beta)), min_size=n_terms - 1,
+                 max_size=n_terms - 1)
+    )
+    eq = QuasiBesselEquation(
+        terms=tuple(Term(sg * d, a, p) for sg, d, a, p in zip(signs, ds, alphas, ps)),
+        beta=beta,
+        nu_squared=draw(st.floats(0.0, 10.0)),
+        kind=kind,
+    )
+    # every exponent must lie where the derivatives exist: gamma > -1 for
+    # Riemann-Liouville, gamma > ceil(alpha) - 1 for Caputo
+    floor = -1.0 if kind is RL else ceil_order(max(alphas)) - 1.0
+    gamma = floor + draw(st.floats(0.05, 3.0))
+    try:
+        sol = build_coefficients(eq, gamma, compute_step(eq), n_terms=draw(st.integers(1, 20)))
+    except ArithmeticError:
+        assume(False)
+    below = st.floats(0.1, 0.95)
+    above = st.floats(1.05, 3.0)
+    xs = draw(st.lists(st.one_of(below, above), min_size=1, max_size=6))
+    return eq, sol, xs
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=_series_and_points())
+def test_residual_horner_within_bound_of_fsum_sum(case):
+    # Horner in y = x^s: within 4 M eps of the slot magnitudes of the
+    # exactly rounded sum of the pow terms
+    eq, sol, xs = case
+    folded = _folded_slots(eq, sol)
+    m_top = len(folded) - 1
+    eps = sys.float_info.epsilon
+    for x, new, old in zip(xs, residual(eq, sol, xs), _fsum_residual(eq, sol, xs)):
+        scale = math.fsum(abs(f) * x ** (sol.gamma + sol.s * m) for m, f in enumerate(folded))
+        assert abs(new - old) <= 4 * m_top * eps * scale
 
 
 # -- initial-condition helper ---------------------------------------------------
