@@ -234,9 +234,9 @@ def _oracle_check(
     params, lam = kilbas_saigo_for_single_term(t.alpha, sol.s, sol.gamma, t.d)
     n_terms = max(80, len(sol.coefficients))
     closed = kilbas_saigo(params, [lam * x**sol.s for x in xs], n_terms)
-    worst = 0.0
-    for x, u, e in zip(xs, u_vals, closed):
-        worst = max(worst, abs(u - sol.c0 * x**sol.gamma * e))
+    diffs = [abs(u - sol.c0 * x**sol.gamma * e) for x, u, e in zip(xs, u_vals, closed)]
+    # max() drops a NaN that is not first; a NaN difference must show
+    worst = math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
     return (
         f"oracle: max |series - c0 x^gamma E_({params.alpha!r},{params.m!r},"
         f"{params.l!r})({lam!r} x^{sol.s!r})| = {worst!r}"

@@ -26,23 +26,31 @@ x^(gamma+s(n+n_pi)) and x^(gamma+s(n+n_beta)), lies on the series lattice,
 so the residual is folded onto integer lattice slots and evaluated as one
 more coefficient vector.
 
-Evaluation and residual sum differently.  evaluate adds the terms
-c_n x^(gamma+s*n) at each x with math.fsum, which returns their exactly
+Evaluation and residual sum differently.  evaluate streams the terms
+c_n x^(gamma+s*n) at each x into math.fsum, which returns their exactly
 rounded sum; the only error left is that of each computed term, about 2 ulp
 at its float exponent e = gamma + s*n, and the rounding of e itself adds a
-relative error of about |e ln x| ulp to the term.  residual sums its slot
-vector F by Horner's rule in y = x^s on the integer slot indices and scales
-by x^gamma: two pow calls per point and no float exponent.  Its few-M-ulp
-error sits on F, whose entries are already rounding-level, so it is far
-below anything the residual can show.
+relative error of about |e ln x| ulp to the term.  A sum that is not finite
+raises OverflowError.  Its cancellation test needs the largest |term|, which
+it reads from the upper envelope of the lines log|c_n| + e_n t at t = ln x,
+built once per call: about 1e-13 relative, which can change the warning
+only for a largest term within that distance of 1e15 times the sum.
+
+residual sums its slot vector F by Horner's rule in y = x^s on the integer
+slot indices and scales by x^gamma: two pow calls per point and no float
+exponent.  Its few-M-ulp error sits on F, whose entries are already
+rounding-level, so it is far below anything the residual can show.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order
@@ -73,8 +81,9 @@ MAX_TERMS = 2000
 _TAU_DENOM_SCALE = 1e-8
 # a coefficient beyond this magnitude means the series is blowing up
 _BLOWUP_LIMIT = 1e280
-# evaluation warns when the largest term exceeds this multiple of the sum
-_CANCELLATION_RATIO = 1e15
+# evaluation warns when the largest term exceeds 1e15 times the sum; the two
+# are compared as logs
+_LOG_CANCELLATION_RATIO = math.log(1e15)
 
 
 class DenominatorPoleError(ArithmeticError):
@@ -266,6 +275,42 @@ def build_coefficients(
     )
 
 
+def _upper_envelope(
+    slopes: Sequence[float], intercepts: Sequence[float]
+) -> Tuple[List[Tuple[float, float]], List[float]]:
+    """Upper envelope of the lines intercept + slope*t.
+
+    Returns the lines that attain the maximum somewhere, as (slope,
+    intercept) in increasing slope, and the strictly increasing breakpoints
+    between them: line k is the maximum for t between breakpoint k-1 and
+    breakpoint k.  Of lines with equal slopes only the largest intercept is
+    kept.  Sorting already sorted slopes is linear, so a lattice costs O(N).
+    """
+    hull: List[Tuple[float, float]] = []
+    breaks: List[float] = []
+    for m, b in sorted(zip(slopes, intercepts)):
+        while hull:
+            m_last, b_last = hull[-1]
+            # sorted: an equal slope comes with an intercept no smaller
+            if m != m_last:
+                t = (b_last - b) / (m - m_last)
+                if not breaks or t > breaks[-1]:
+                    breaks.append(t)
+                    break
+            hull.pop()
+            if breaks:
+                breaks.pop()
+        hull.append((m, b))
+    return hull, breaks
+
+
+def _envelope_at(hull: List[Tuple[float, float]], breaks: List[float], t: float) -> float:
+    """Value of the upper envelope at t, which may be -inf (x = 0): a line
+    of slope 0 then gives its intercept."""
+    m, b = hull[bisect_right(breaks, t)]
+    return b + m * t if m else b
+
+
 def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     """Evaluate the truncated series on a grid of x > 0 (x = 0 is accepted
     when every exponent is nonnegative).
@@ -274,24 +319,43 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     1997) of the computed terms c_n x^(gamma+s*n), each within about 2 ulp
     of its value at the float exponent -- one rounding in pow, one in the
     product -- so the summation order adds no error; the rounding of the
-    exponent adds about |exponent * ln x| ulp per term.  When the largest
-    term exceeds 1e15 times the sum the digits are gone to cancellation; a
-    CancellationWarning is issued once and no compensation is attempted.
+    exponent adds about |exponent * ln x| ulp per term.  The terms stream
+    from pow and the product straight into fsum, with no list per point.  A
+    sum that is not finite raises OverflowError, as x**e does when the power
+    alone overflows.
+
+    When the largest term exceeds 1e15 times the sum the digits are gone to
+    cancellation; a CancellationWarning is issued once and no compensation
+    is attempted.  The largest |term| is read, without forming the terms,
+    from the upper envelope of the lines log|c_n| + e_n*t at t = ln x, built
+    once per call and searched by bisection per point, and compared with
+    the sum in the log domain, so nothing overflows.  The log of a term
+    carries an absolute error of about eps*(|log|c_n|| + |e_n ln x|), about
+    1e-13 relative in the term itself, which decides the warning
+    differently only for a ratio that close to 1e15.  A sum of exactly zero
+    warns when any computed term is nonzero.
     """
     for x in xs:
         if x < 0:
             raise ValueError(f"series is defined for x >= 0, got {x}")
-    lattice = [
-        (c, sol.gamma + sol.s * n) for n, c in enumerate(sol.coefficients) if c != 0.0
-    ]
+    cs = [c for c in sol.coefficients if c != 0.0]
+    es = [sol.gamma + sol.s * n for n, c in enumerate(sol.coefficients) if c != 0.0]
+    hull, breaks = _upper_envelope(es, [math.log(abs(c)) for c in cs])
     out = []
     lost = False
     for x in xs:
-        terms = [c * x**e for c, e in lattice]
-        total = math.fsum(terms)
-        largest = max(max(terms), -min(terms)) if terms else 0.0
-        if largest > _CANCELLATION_RATIO * abs(total):
-            lost = True
+        try:
+            total = math.fsum(map(mul, cs, map(pow, repeat(x), es)))
+        except ValueError:  # -inf + inf among the terms
+            total = math.nan
+        if not math.isfinite(total):
+            raise OverflowError(f"series overflows at x = {x!r}")
+        if total == 0.0:
+            lost = lost or any(map(mul, cs, map(pow, repeat(x), es)))
+        else:
+            t = math.log(x) if x > 0 else -math.inf
+            if _envelope_at(hull, breaks, t) > _LOG_CANCELLATION_RATIO + math.log(abs(total)):
+                lost = True
         out.append(total)
     if lost:
         warnings.warn(

@@ -10,10 +10,13 @@ parameters for cross-checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .gammafn import GammaPoleError, signed_log_gamma
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 __all__ = [
     "KilbasSaigoParams",
@@ -56,18 +59,21 @@ def mittag_leffler(alpha: float, z: float, n_terms: int = 60) -> float:
     return total
 
 
-def kilbas_saigo_coefficients(params: KilbasSaigoParams, n_terms: int) -> List[float]:
-    """Coefficients c_0..c_N of the Kilbas-Saigo series.
+def _kilbas_saigo_terms(
+    params: KilbasSaigoParams, n_terms: int
+) -> List[Tuple[float, int, float]]:
+    """(c_k, sign, log|c_k|) for k = 0..N; c_k is 0.0 below e^-745 and the
+    sign is 0 for a zero coefficient.
 
     A Gamma pole in a numerator factor is an error; a pole in a denominator
     factor terminates the series (all later coefficients are zero).
     """
     a, m, l = params.alpha, params.m, params.l
-    coeffs = [1.0]
+    terms = [(1.0, 1, 0.0)]
     log_c, sign = 0.0, 1
     for j in range(n_terms):
         if sign == 0:
-            coeffs.append(0.0)
+            terms.append((0.0, 0, -math.inf))
             continue
         num_log, num_sign = signed_log_gamma(a * (j * m + l) + 1.0)
         if num_sign == 0:
@@ -78,26 +84,50 @@ def kilbas_saigo_coefficients(params: KilbasSaigoParams, n_terms: int) -> List[f
         den_log, den_sign = signed_log_gamma(a * (j * m + l + 1.0) + 1.0)
         if den_sign == 0:
             sign = 0
-            coeffs.append(0.0)
+            terms.append((0.0, 0, -math.inf))
             continue
         log_c += num_log - den_log
         sign *= num_sign * den_sign
-        coeffs.append(sign * math.exp(log_c) if log_c > -745.0 else 0.0)
-    return coeffs
+        terms.append((sign * math.exp(log_c) if log_c > -745.0 else 0.0, sign, log_c))
+    return terms
+
+
+def kilbas_saigo_coefficients(params: KilbasSaigoParams, n_terms: int) -> List[float]:
+    """Coefficients c_0..c_N of the Kilbas-Saigo series; one below e^-745
+    is 0.0.
+
+    A Gamma pole in a numerator factor is an error; a pole in a denominator
+    factor terminates the series (all later coefficients are zero).
+    """
+    return [c for c, _, _ in _kilbas_saigo_terms(params, n_terms)]
 
 
 def kilbas_saigo(
     params: KilbasSaigoParams, zs: Sequence[float], n_terms: int = 60
 ) -> List[float]:
-    """Truncated E_{alpha,m,l}(z) at each z; the coefficients are built once."""
-    coeffs = kilbas_saigo_coefficients(params, n_terms)
+    """Truncated E_{alpha,m,l}(z) at each z; the coefficients are built once.
+
+    Each term is c_k times the running power z^k while |z|^k <= e^709,
+    safely inside the float range.  Past that c_k may have underflowed to
+    zero while c_k z^k has not, so each later term is formed as
+    sign_k exp(log|c_k| + k log|z|) from the coefficient's logarithm; a term
+    whose logarithm exceeds the float range is infinite.
+    """
+    terms = _kilbas_saigo_terms(params, n_terms)
+    coeffs = [c for c, _, _ in terms]
     out = []
     for z in zs:
+        log_z = math.log(abs(z)) if z else -math.inf
+        n_powers = min(len(terms), math.ceil(709.0 / log_z)) if log_z > 0.0 else len(terms)
         total = 0.0
         zk = 1.0
-        for c in coeffs:
+        for c in coeffs[:n_powers]:
             total += c * zk
             zk *= z
+        for k, (_, sign, log_c) in enumerate(terms[n_powers:], n_powers):
+            log_term = log_c + k * log_z
+            term = math.exp(log_term) if log_term < _LOG_MAX else math.inf
+            total += sign * term if z > 0 or k % 2 == 0 else -sign * term
         out.append(total)
     return out
 

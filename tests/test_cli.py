@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,55 @@ def test_root_search_overflow_exits_numerical(tmp_path, capsys):
     assert err.startswith("error: numerical failure") and "overflow" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def _decay_spec(lam: int) -> dict:
+    # (1/lam) u' + u = 0: u = exp(-lam x), whose series terms reach
+    # lam^n x^n / n! ~ exp(lam x) before they cancel
+    return {
+        "kind": "caputo",
+        "form": "constant_coefficients",
+        "terms": [{"d": repr(1 / lam), "alpha": "1"}],
+        "domain": {"x_min": "0.1", "x_max": "1.2", "n_points": 12},
+        "options": {"n_terms_max": 5000},
+    }
+
+
+@pytest.mark.parametrize("lam", [600, 700])
+def test_overflowing_series_fails_its_root(tmp_path, capsys, lam):
+    # the terms' products overflow to +-inf at x = 1.2 although no pow does
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, _decay_spec(lam)), out, oracle=True) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "error: every valid root failed numerically\n"
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt", "roots.csv"]
+    report = (out / "report.txt").read_text()
+    assert "[W_OVERFLOW] root 0: series overflows at x = 1.2" in report
+
+
+def _oracle_value(report: str) -> float:
+    (line,) = [line for line in report.splitlines() if "oracle:" in line]
+    return float(line.rsplit(" = ", 1)[1])
+
+
+def test_oracle_reports_a_nan_difference(tmp_path, monkeypatch):
+    real = cli.kilbas_saigo
+
+    def nan_at_last_point(params, zs, n_terms):
+        return real(params, zs, n_terms)[:-1] + [float("nan")]
+
+    monkeypatch.setattr(cli, "kilbas_saigo", nan_at_last_point)
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, ML_SPEC), out, oracle=True) == EXIT_OK
+    assert math.isnan(_oracle_value((out / "report.txt").read_text()))
+
+
+def test_oracle_checks_a_series_whose_closed_form_powers_overflow(tmp_path):
+    # u = exp(500 x), up to e^600 on the grid.  The closed form's powers z^k
+    # overflow where its coefficients 1/k! have underflowed to zero, so its
+    # terms past e^709 must come from log|c_k| for the oracle to be finite
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, _decay_spec(-500)), out, oracle=True) == EXIT_OK
+    assert 0.0 < _oracle_value((out / "report.txt").read_text()) < 1e-12 * math.exp(600.0)
 
 
 def test_tracer_times_every_stage(tmp_path, monkeypatch):

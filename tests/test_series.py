@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -35,7 +36,7 @@ from quasibessel import (
     residual,
 )
 from quasibessel.equation import DerivativeKind, ceil_order
-from quasibessel.series import Truncation
+from quasibessel.series import Truncation, _envelope_at, _upper_envelope
 
 
 def _valid_gamma(eq):
@@ -282,6 +283,215 @@ def test_evaluate_warns_on_cancellation():
     )
     with pytest.warns(CancellationWarning):
         evaluate(sol, [1.5])
+
+
+def test_evaluate_overflowing_product_raises():
+    # x**e is finite but c * x**e is not: the sum would be -inf + inf
+    sol = SeriesSolution(
+        gamma=0.0,
+        s=1.0,
+        coefficients=[1e300, -1e300],
+        c0=1e300,
+        truncation=Truncation(terms_used=1, tail_estimate=0.0, converged=False),
+    )
+    with pytest.raises(OverflowError, match=r"series overflows at x = 10000000000\.0$"):
+        evaluate(sol, [1.0, 1e10])
+
+
+def test_evaluate_at_zero_and_zero_sums():
+    def series(gamma, coefficients):
+        return SeriesSolution(
+            gamma=gamma,
+            s=0.5,
+            coefficients=coefficients,
+            c0=coefficients[0],
+            truncation=Truncation(terms_used=len(coefficients) - 1, tail_estimate=0.0,
+                                  converged=False),
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # t = ln 0 = -inf: the slope-0 line gives c_0, the others vanish
+        assert evaluate(series(0.0, [-3.0, 1e30, 2.0]), [0.0]) == [-3.0]
+        assert evaluate(series(0.5, [1.0, 1e30]), [0.0]) == [0.0]
+        assert evaluate(series(0.0, [0.0, 0.0]), [0.0, 1.0]) == [0.0, 0.0]
+        # every term underflows to zero: no term is nonzero, no warning
+        assert evaluate(series(400.0, [1.0]), [1e-300]) == [0.0]
+    # an exact zero sum of nonzero terms warns
+    with pytest.warns(CancellationWarning):
+        assert evaluate(series(0.0, [1.0, 0.0, -1.0]), [1.0]) == [0.0]
+
+
+def _brute_force_max(lines, t):
+    return max(b + m * t for m, b in lines)
+
+
+def _check_envelope(lines, ts):
+    hull, breaks = _upper_envelope([m for m, _ in lines], [b for _, b in lines])
+    assert len(breaks) == len(hull) - 1
+    assert all(a < b for a, b in zip(breaks, breaks[1:]))
+    assert set(hull) <= set(lines)
+    for t in ts:
+        want = _brute_force_max(lines, t)
+        assert _envelope_at(hull, breaks, t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_upper_envelope_against_brute_force():
+    rng = random.Random(7)
+    ts = [rng.uniform(-5.0, 5.0) for _ in range(200)] + [-50.0, 0.0, 50.0]
+    for _ in range(200):
+        # few distinct slopes, so most of them are tied
+        slopes = [rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 4.0]) for _ in range(rng.randint(1, 12))]
+        _check_envelope([(m, rng.uniform(-10.0, 10.0)) for m in slopes], ts)
+
+
+def test_upper_envelope_tied_float_exponents():
+    # gamma + 1 rounds to gamma and gamma + 3 to gamma + 4: tied slopes, of
+    # which only the larger |c| may stand for each
+    sol = SeriesSolution(
+        gamma=2.0**53,
+        s=1.0,
+        coefficients=[1.0, 1e20, 3.0, 1e-5, 50.0],
+        c0=1.0,
+        truncation=Truncation(terms_used=4, tail_estimate=0.0, converged=False),
+    )
+    es = [sol.exponent(n) for n in range(5)]
+    assert es[0] == es[1] < es[2] < es[3] == es[4]
+    lines = [(e, math.log(abs(c))) for e, c in zip(es, sol.coefficients)]
+    hull, breaks = _upper_envelope(*zip(*lines))
+    assert hull == [lines[1], lines[4]]
+    _check_envelope(lines, [-1e-14, -1e-16, 0.0, 1e-16, 1e-14])
+
+
+def test_upper_envelope_at_x_zero():
+    # slopes of a series whose exponents are nonnegative; t = ln 0 = -inf
+    lines = [(0.0, 2.0), (0.5, 7.0), (1.0, -3.0)]
+    hull, breaks = _upper_envelope(*zip(*lines))
+    assert _envelope_at(hull, breaks, -math.inf) == 2.0
+    hull, breaks = _upper_envelope(*zip(*lines[1:]))
+    assert _envelope_at(hull, breaks, -math.inf) == -math.inf
+
+
+# evaluate as it was before the terms were streamed into fsum and the largest
+# term read from the log envelope, verbatim apart from its name and the
+# ratio's.
+def _list_evaluate(sol, xs):
+    for x in xs:
+        if x < 0:
+            raise ValueError(f"series is defined for x >= 0, got {x}")
+    lattice = [
+        (c, sol.gamma + sol.s * n) for n, c in enumerate(sol.coefficients) if c != 0.0
+    ]
+    out = []
+    lost = False
+    for x in xs:
+        terms = [c * x**e for c, e in lattice]
+        total = math.fsum(terms)
+        largest = max(max(terms), -min(terms)) if terms else 0.0
+        if largest > 1e15 * abs(total):
+            lost = True
+        out.append(total)
+    if lost:
+        warnings.warn(
+            CancellationWarning(
+                "series evaluation lost more than 15 digits to cancellation "
+                "(x too large for this truncation)"
+            )
+        )
+    return out
+
+
+def _outcome(evaluator, sol, xs):
+    """(values as reprs, warned) or (exception type, message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = evaluator(sol, xs)
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc), str(exc)
+    return [repr(v) for v in values], any(w.category is CancellationWarning for w in caught)
+
+
+def _expected_outcome(sol, xs):
+    """_list_evaluate's outcome, except that a sum that is not finite --
+    returned, or the fsum ValueError of -inf + inf -- raises OverflowError."""
+    if any(x < 0 for x in xs):
+        return _outcome(_list_evaluate, sol, xs)
+    values, warned = [], False
+    for x in xs:
+        point = _outcome(_list_evaluate, sol, [x])
+        if point == (ValueError, "-inf + inf in fsum") or (
+            isinstance(point[0], list) and not math.isfinite(float(point[0][0]))
+        ):
+            return OverflowError, f"series overflows at x = {x!r}"
+        if isinstance(point[0], type):
+            return point
+        values += point[0]
+        warned = warned or point[1]
+    return values, warned
+
+
+_MAGNITUDES = st.one_of(
+    st.floats(-30.0, 30.0),  # ordinary
+    st.floats(250.0, 307.0),  # products overflow
+    st.floats(-320.0, -300.0),  # subnormal and underflowing terms
+)
+
+
+@st.composite
+def _coefficient_lists(draw):
+    size = draw(st.integers(0, 12))
+    signs = draw(st.lists(st.sampled_from((1.0, -1.0, 0.0)), min_size=size, max_size=size))
+    mags = draw(st.lists(_MAGNITUDES, min_size=size, max_size=size))
+    return [sg * 10.0**m for sg, m in zip(signs, mags)]
+
+
+_POINTS = st.one_of(
+    st.floats(0.01, 5.0),
+    st.floats(1e10, 1e200),  # pow or the product overflows
+    st.floats(1e-300, 1e-100),
+    st.just(0.0),  # negative exponents divide by zero
+)
+
+
+@st.composite
+def _general_case(draw):
+    sol = SeriesSolution(
+        gamma=draw(st.floats(-2.0, 3.0)),
+        s=10.0 ** draw(st.floats(-2.0, 0.5)),
+        coefficients=draw(_coefficient_lists()),
+        c0=1.0,
+        truncation=Truncation(terms_used=0, tail_estimate=0.0, converged=False),
+    )
+    xs = draw(st.lists(_POINTS, min_size=1, max_size=5))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        xs.append(draw(st.floats(-2.0, -1e-3)))  # rejected up front
+    return sol, xs
+
+
+@st.composite
+def _cancellation_case(draw):
+    # c (1 - x^s) + small terms with s ln x ~ 1/ratio: the largest term is
+    # about ratio times the sum, drawn on both sides of the 1e15 threshold
+    ratio = 10.0 ** draw(st.floats(13.0, 17.0))
+    x = draw(st.floats(1.1, 3.0))
+    c = 10.0 ** draw(st.floats(-5.0, 5.0))
+    extra = [c * 10.0 ** draw(st.floats(-25.0, -12.0)) for _ in range(draw(st.integers(0, 3)))]
+    sol = SeriesSolution(
+        gamma=draw(st.floats(0.0, 2.0)),
+        s=1.0 / (ratio * math.log(x)),
+        coefficients=[c, -c] + extra,
+        c0=c,
+        truncation=Truncation(terms_used=1, tail_estimate=0.0, converged=False),
+    )
+    return sol, [x] + draw(st.lists(st.floats(0.5, 3.0), max_size=3))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(case=st.one_of(_general_case(), _cancellation_case()))
+def test_evaluate_matches_list_evaluate(case):
+    sol, xs = case
+    assert _outcome(evaluate, sol, xs) == _expected_outcome(sol, xs)
 
 
 # -- fractional power rule ----------------------------------------------------

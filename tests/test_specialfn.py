@@ -37,6 +37,22 @@ def test_kilbas_saigo_at_zero_is_one():
     assert kilbas_saigo(KilbasSaigoParams(0.5, 2.4, 0.4), [0.0]) == [1.0]
 
 
+def test_kilbas_saigo_past_overflowing_powers():
+    # E_(1,1,0)(z) = exp(z); 60^k overflows at k = 174, where 1/k! is still
+    # a nonzero subnormal and 1/k! underflows to zero from k = 178 on
+    params = KilbasSaigoParams(1.0, 1.0, 0.0)
+    big, small = kilbas_saigo(params, [60.0, 20.0], 400)
+    assert big == pytest.approx(math.exp(60.0), rel=1e-14)
+    assert small == pytest.approx(math.exp(20.0), rel=1e-14)
+    # at z = 700 the largest terms, near k = 700, all have c_k flushed to 0.0
+    assert kilbas_saigo(params, [700.0], 1000)[0] == pytest.approx(math.exp(700.0), rel=1e-12)
+    # alternating: the terms cancel from ~e^672 to e^-672, so what is left is
+    # rounding; a wrong sign past the overflow would leave ~e^672
+    assert abs(kilbas_saigo(params, [-672.0], 1000)[0]) < 1e-12 * math.exp(672.0)
+    # a term that itself overflows still shows
+    assert kilbas_saigo(params, [1e5], 400) == [math.inf]
+
+
 def test_kilbas_saigo_example4_coefficients():
     # c_k = prod_{j<k} Gamma(1.2 + 1.2 j)/Gamma(1.7 + 1.2 j)
     mp.mp.dps = 30
