@@ -287,11 +287,7 @@ def solve_command(
     if not check.is_valid:
         return EXIT_VALIDATION
 
-    try:
-        plan = compute_step(eq)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    plan = compute_step(eq)
 
     shifts = ", ".join(f"term {i}: {n}" for i, n in sorted(plan.n_p.items()))
     report += [

@@ -365,25 +365,7 @@ def from_constant_coefficients(
     orders are supplied as exact rationals in units of r (decimal strings
     are fine) so the shifts stay exact.
     """
-    if not coeffs:
-        raise ValueError("need at least one derivative term")
-    exact = [(float(d), as_rational(a)) for d, a in coeffs]
-    exact.sort(key=lambda t: t[1], reverse=True)
-    a1 = exact[0][1]
-    if a1 <= 0:
-        raise ValueError(f"highest derivative order must be positive, got {a1}")
-    for _, a in exact[1:]:
-        if a >= a1:
-            raise ValueError(
-                f"highest derivative order must be strictly greater than the "
-                f"others, got {a1} and {a}"
-            )
-        if a <= 0:
-            raise ValueError(f"derivative orders must be positive, got {a}")
-    terms = [Term(d=d, alpha=float(a) * r, p=a1 - a) for d, a in exact]
-    return QuasiBesselEquation(
-        terms=tuple(terms), beta=a1, nu_squared=0.0, r=r, kind=kind
-    )
+    return from_power_factors([(d, 0, a) for d, a in coeffs], delta=0, r=r, kind=kind)
 
 
 def from_power_factors(

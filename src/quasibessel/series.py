@@ -196,13 +196,14 @@ def build_coefficients(
     """Run the coefficient recursion from c_0 = c0.
 
     With ``n_terms`` given, exactly that many steps are taken.  Otherwise the
-    recursion stops at the smallest N for which the last n_beta consecutive
-    terms all satisfy |c_n| x_max^(gamma+sn) < eps_tail -- a single small
-    term proves nothing, since runs of up to n_beta zero coefficients occur
-    legitimately on the lattice -- capped at ``max_terms`` with the converged
-    flag cleared.  The recursion also stops early, not converged, if a
-    coefficient exceeds 1e280: that is the divergent regime, reported rather
-    than overflowed.
+    recursion stops at the smallest N that ends n_beta consecutive terms
+    below eps_tail, a term being |c_n| x_max^(gamma+sn) for n >= 1 -- a
+    single small term proves nothing, since runs of up to n_beta zero
+    coefficients occur legitimately on the lattice -- capped at
+    ``max_terms`` with the converged flag cleared.  The recursion also stops
+    early, not converged, if a coefficient exceeds 1e280: that is the
+    divergent regime, reported rather than overflowed.  The tail estimate is
+    the largest of the last n_beta terms.
 
     The recursion is linear in c0, and that linearity is exact here: the
     coefficients are built once with unit normalisation and scaled at the end.
@@ -216,15 +217,10 @@ def build_coefficients(
     pure = [eq.terms[i] for i in eq.pure_indices]
     shifted = [(eq.terms[i], plan.n_p[i]) for i in eq.shifted_indices]
 
-    q_cache: Dict[Tuple[int, float], float] = {}
-
-    def q_at(k: int, alpha: float) -> float:
-        key = (k, alpha)
-        if key not in q_cache:
-            q_cache[key] = gamma_ratio(gamma, k * s, alpha)
-        return q_cache[key]
-
     unit = [1.0]
+    # log|c0 c_n| + (gamma + s n) ln x_max of each term made, n = 1, 2, ...
+    sizes: List[float] = []
+    small_run = 0  # consecutive terms below eps_tail that end at n
     limit = n_terms if n_terms is not None else max_terms
     log_x = math.log(x_max)
     log_eps = math.log(eps_tail)
@@ -236,42 +232,32 @@ def build_coefficients(
         for term, shift in shifted:
             k = n - shift
             if k >= 0 and unit[k] != 0.0:
-                num += unit[k] * term.d * q_at(k, term.alpha)
+                num += unit[k] * term.d * gamma_ratio(gamma, k * s, term.alpha)
         d_n = -eq.nu_squared
         for term in pure:
-            d_n += term.d * q_at(n, term.alpha)
+            d_n += term.d * gamma_ratio(gamma, n * s, term.alpha)
         if abs(d_n) < tau_denom:
             raise DenominatorPoleError(n, d_n)
         c = -num / d_n
         if not math.isfinite(c):
             raise ArithmeticError(f"coefficient overflow at n={n}")
         unit.append(c)
+        size = _log_magnitude(c0 * c, gamma + s * n, log_x)
+        sizes.append(size)
+        small_run = small_run + 1 if size < log_eps else 0
         blown_up = abs(c) > _BLOWUP_LIMIT
-        converged = (
-            not blown_up
-            and n >= plan.n_beta
-            and all(
-                _log_magnitude(c0 * unit[j], gamma + s * j, log_x) < log_eps
-                for j in range(n - plan.n_beta + 1, n + 1)
-            )
-        )
+        converged = not blown_up and small_run >= plan.n_beta
         if blown_up or (converged and n_terms is None):
             break
 
-    coeffs = [c0 * u for u in unit]
-    n_used = len(coeffs) - 1
-    tail_logs = [
-        _log_magnitude(coeffs[j], gamma + s * j, log_x)
-        for j in range(max(1, n_used - plan.n_beta + 1), n_used + 1)
-    ]
-    tail_log = max(tail_logs, default=-math.inf)
+    tail_log = max(sizes[-plan.n_beta:], default=-math.inf)
     tail = math.exp(tail_log) if tail_log < 700.0 else math.inf
     return SeriesSolution(
         gamma=gamma,
         s=s,
-        coefficients=coeffs,
+        coefficients=[c0 * u for u in unit],
         c0=c0,
-        truncation=Truncation(terms_used=n_used, tail_estimate=tail, converged=converged),
+        truncation=Truncation(terms_used=len(unit) - 1, tail_estimate=tail, converged=converged),
     )
 
 

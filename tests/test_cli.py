@@ -145,6 +145,7 @@ def test_malformed_spec_files(tmp_path, capsys):
         ("kind", "foo"),
         ("kind", 5),
         ("terms", [{"d": "1", "alpha": "0", "p": "0"}]),
+        ("beta", "0"),
     ]
     for key, value in bad_fields:
         capsys.readouterr()

@@ -36,7 +36,17 @@ from quasibessel import (
     residual,
 )
 from quasibessel.equation import DerivativeKind, ceil_order
-from quasibessel.series import Truncation, _envelope_at, _upper_envelope
+from quasibessel.gammafn import gamma_ratio
+from quasibessel.series import (
+    EPS_TAIL,
+    MAX_TERMS,
+    _BLOWUP_LIMIT,
+    _TAU_DENOM_SCALE,
+    Truncation,
+    _envelope_at,
+    _log_magnitude,
+    _upper_envelope,
+)
 
 
 def _valid_gamma(eq):
@@ -213,6 +223,146 @@ def test_weighted_terms_eventually_decay():
         blocks = [max(w[i : i + 20]) for i in range(start, 880, 20)]
         assert all(b < a for a, b in zip(blocks, blocks[1:]))
         assert blocks[-1] < 1e-16
+
+
+# The recursion as it was when it rescanned its n_beta window at every step
+# and again for the tail, verbatim apart from the name and the type
+# annotations: each term's size is computed once now, and Q is no longer cached.
+def _window_rescan_build(
+    eq,
+    gamma,
+    plan,
+    n_terms=None,
+    c0=1.0,
+    *,
+    x_max=1.0,
+    eps_tail=EPS_TAIL,
+    max_terms=MAX_TERMS,
+):
+    if n_terms is not None and n_terms < 1:
+        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    if x_max <= 0:
+        raise ValueError(f"x_max must be positive, got {x_max}")
+    s = plan.step_value
+    tau_denom = _TAU_DENOM_SCALE * (1.0 + eq.nu_squared)
+    pure = [eq.terms[i] for i in eq.pure_indices]
+    shifted = [(eq.terms[i], plan.n_p[i]) for i in eq.shifted_indices]
+
+    q_cache = {}
+
+    def q_at(k, alpha):
+        key = (k, alpha)
+        if key not in q_cache:
+            q_cache[key] = gamma_ratio(gamma, k * s, alpha)
+        return q_cache[key]
+
+    unit = [1.0]
+    limit = n_terms if n_terms is not None else max_terms
+    log_x = math.log(x_max)
+    log_eps = math.log(eps_tail)
+    converged = False
+    for n in range(1, limit + 1):
+        num = 0.0
+        if n >= plan.n_beta:
+            num += unit[n - plan.n_beta]
+        for term, shift in shifted:
+            k = n - shift
+            if k >= 0 and unit[k] != 0.0:
+                num += unit[k] * term.d * q_at(k, term.alpha)
+        d_n = -eq.nu_squared
+        for term in pure:
+            d_n += term.d * q_at(n, term.alpha)
+        if abs(d_n) < tau_denom:
+            raise DenominatorPoleError(n, d_n)
+        c = -num / d_n
+        if not math.isfinite(c):
+            raise ArithmeticError(f"coefficient overflow at n={n}")
+        unit.append(c)
+        blown_up = abs(c) > _BLOWUP_LIMIT
+        converged = (
+            not blown_up
+            and n >= plan.n_beta
+            and all(
+                _log_magnitude(c0 * unit[j], gamma + s * j, log_x) < log_eps
+                for j in range(n - plan.n_beta + 1, n + 1)
+            )
+        )
+        if blown_up or (converged and n_terms is None):
+            break
+
+    coeffs = [c0 * u for u in unit]
+    n_used = len(coeffs) - 1
+    tail_logs = [
+        _log_magnitude(coeffs[j], gamma + s * j, log_x)
+        for j in range(max(1, n_used - plan.n_beta + 1), n_used + 1)
+    ]
+    tail_log = max(tail_logs, default=-math.inf)
+    tail = math.exp(tail_log) if tail_log < 700.0 else math.inf
+    return SeriesSolution(
+        gamma=gamma,
+        s=s,
+        coefficients=coeffs,
+        c0=c0,
+        truncation=Truncation(terms_used=n_used, tail_estimate=tail, converged=converged),
+    )
+
+
+@st.composite
+def _recursion_case(draw):
+    kind = draw(st.sampled_from((CAPUTO, RL)))
+    step = draw(st.sampled_from((Fraction(1, 10), Fraction(1, 4), Fraction(1, 2))))
+    beta = step * draw(st.integers(1, 20))
+    n_terms = draw(st.integers(1, 3))
+    alphas = draw(st.lists(st.floats(0.1, 2.5), min_size=n_terms, max_size=n_terms))
+    # a shifted d of 1e305 or 1e307 makes a coefficient blow up or overflow
+    ds = [
+        draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.2, 3.0))
+        * (draw(st.sampled_from((1.0, 1.0, 1.0, 1e305, 1e307))) if i else 1.0)
+        for i in range(n_terms)
+    ]
+    ps = [Fraction(0)] + draw(
+        st.lists(st.sampled_from((0, step, 3 * step, beta)), min_size=n_terms - 1,
+                 max_size=n_terms - 1)
+    )
+    floor = -1.0 if kind is RL else ceil_order(max(alphas)) - 1.0
+    gamma = floor + draw(st.floats(0.05, 3.0))
+    terms = tuple(Term(d, a, p) for d, a, p in zip(ds, alphas, ps))
+    eq = QuasiBesselEquation(terms=terms, beta=beta, kind=kind)
+    plan = compute_step(eq)
+    if draw(st.integers(0, 3)):
+        nu_squared = draw(st.floats(0.0, 10.0))
+    else:
+        # D_n vanishes at n = n0: a root collision
+        n0 = draw(st.integers(1, 60))
+        nu_squared = math.fsum(
+            eq.terms[i].d * gamma_ratio(gamma, n0 * plan.step_value, eq.terms[i].alpha)
+            for i in eq.pure_indices
+        )
+        assume(0.0 <= nu_squared < math.inf)
+    eq = QuasiBesselEquation(terms=terms, beta=beta, nu_squared=nu_squared, kind=kind)
+    options = dict(
+        c0=draw(st.sampled_from((1.0, -1.0))) * 10 ** draw(st.floats(-3.0, 3.0)),
+        x_max=draw(st.one_of(st.floats(0.05, 0.95), st.just(1.0), st.floats(1.05, 20.0))),
+        eps_tail=10 ** draw(st.floats(-16.0, -6.0)),
+    )
+    return eq, gamma, plan, options, draw(st.integers(1, 400)), draw(st.integers(1, 60))
+
+
+def _build_outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(case=_recursion_case())
+def test_build_coefficients_matches_window_rescan(case):
+    eq, gamma, plan, options, max_terms, n_terms = case
+    for mode in (dict(max_terms=max_terms), dict(n_terms=n_terms)):
+        args = (eq, gamma, plan)
+        new = _build_outcome(build_coefficients, *args, **options, **mode)
+        assert new == _build_outcome(_window_rescan_build, *args, **options, **mode)
 
 
 # -- evaluation ---------------------------------------------------------------
