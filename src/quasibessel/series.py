@@ -26,32 +26,22 @@ x^(gamma+s(n+n_pi)) and x^(gamma+s(n+n_beta)), lies on the series lattice,
 so the residual is folded onto integer lattice slots and evaluated as one
 more coefficient vector.
 
-Evaluation and residual sum differently.  evaluate streams the terms
-c_n x^(gamma+s*n) at each x into math.fsum, which returns their exactly
-rounded sum; the only error left is that of each computed term, about 2 ulp
-at its float exponent e = gamma + s*n, and the rounding of e itself adds a
-relative error of about |e ln x| ulp to the term.  A sum that is not finite
-raises OverflowError.  Its cancellation test needs the largest |term|, which
-it reads from the upper envelope of the lines log|c_n| + e_n t at t = ln x,
-built once per call: about 1e-13 relative, which can change the warning
-only for a largest term within that distance of 1e15 times the sum.
-
-residual sums its slot vector F by Horner's rule in y = x^s on the integer
-slot indices and scales by x^gamma: two pow calls per point and no float
-exponent.  Its few-M-ulp error sits on F, whose entries are already
-rounding-level, so it is far below anything the residual can show.
+Evaluation and residual sum the same way: by Horner's rule in y = x^s on
+the integer lattice indices, scaled by x^gamma, with two pow calls per point
+and no float exponent.  evaluate sums the coefficients c_n, residual its
+folded slots F_m; evaluate also sums |c_n| in the same pass, which gives the
+size sum_n |c_n| x^(gamma+s*n) that its error bound and its cancellation
+warning are stated in.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order
 from .gammafn import TAU_POLE, gamma_ratio
@@ -81,9 +71,6 @@ MAX_TERMS = 2000
 _TAU_DENOM_SCALE = 1e-8
 # a coefficient beyond this magnitude means the series is blowing up
 _BLOWUP_LIMIT = 1e280
-# evaluation warns when the largest term exceeds 1e15 times the sum; the two
-# are compared as logs
-_LOG_CANCELLATION_RATIO = math.log(1e15)
 
 
 class DenominatorPoleError(ArithmeticError):
@@ -205,6 +192,12 @@ def build_coefficients(
     divergent regime, reported rather than overflowed.  The tail estimate is
     the largest of the last n_beta terms.
 
+    A coefficient that overflows raises ArithmeticError, and so does one
+    that falls below the normal range (|c_n| < sys.float_info.min, c0 != 0)
+    while its term, taken from num and D_n before the division, is still at
+    least eps_tail: its digits are lost, and the truncation rule would read
+    the lost term as small.
+
     The recursion is linear in c0, and that linearity is exact here: the
     coefficients are built once with unit normalisation and scaled at the end.
     """
@@ -241,6 +234,11 @@ def build_coefficients(
         c = -num / d_n
         if not math.isfinite(c):
             raise ArithmeticError(f"coefficient overflow at n={n}")
+        if num != 0.0 and c0 != 0.0 and abs(c) < sys.float_info.min and (
+            math.log(abs(c0)) + math.log(abs(num)) - math.log(abs(d_n))
+            + (gamma + s * n) * log_x >= log_eps
+        ):
+            raise ArithmeticError(f"coefficient underflow at n={n}")
         unit.append(c)
         size = _log_magnitude(c0 * c, gamma + s * n, log_x)
         sizes.append(size)
@@ -261,87 +259,51 @@ def build_coefficients(
     )
 
 
-def _upper_envelope(
-    slopes: Sequence[float], intercepts: Sequence[float]
-) -> Tuple[List[Tuple[float, float]], List[float]]:
-    """Upper envelope of the lines intercept + slope*t.
-
-    Returns the lines that attain the maximum somewhere, as (slope,
-    intercept) in increasing slope, and the strictly increasing breakpoints
-    between them: line k is the maximum for t between breakpoint k-1 and
-    breakpoint k.  Of lines with equal slopes only the largest intercept is
-    kept.  Sorting already sorted slopes is linear, so a lattice costs O(N).
-    """
-    hull: List[Tuple[float, float]] = []
-    breaks: List[float] = []
-    for m, b in sorted(zip(slopes, intercepts)):
-        while hull:
-            m_last, b_last = hull[-1]
-            # sorted: an equal slope comes with an intercept no smaller
-            if m != m_last:
-                t = (b_last - b) / (m - m_last)
-                if not breaks or t > breaks[-1]:
-                    breaks.append(t)
-                    break
-            hull.pop()
-            if breaks:
-                breaks.pop()
-        hull.append((m, b))
-    return hull, breaks
-
-
-def _envelope_at(hull: List[Tuple[float, float]], breaks: List[float], t: float) -> float:
-    """Value of the upper envelope at t, which may be -inf (x = 0): a line
-    of slope 0 then gives its intercept."""
-    m, b = hull[bisect_right(breaks, t)]
-    return b + m * t if m else b
+def _horner(coeffs_top_first: Sequence[float], y: float) -> float:
+    """sum_m a_m y^m by Horner's rule, the coefficients given from a_M down
+    to a_0."""
+    acc = 0.0
+    for a in coeffs_top_first:
+        acc = acc * y + a
+    return acc
 
 
 def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     """Evaluate the truncated series on a grid of x > 0 (x = 0 is accepted
-    when every exponent is nonnegative).
+    when gamma >= 0).
 
-    The value at each x is the exactly rounded sum (math.fsum, Shewchuk
-    1997) of the computed terms c_n x^(gamma+s*n), each within about 2 ulp
-    of its value at the float exponent -- one rounding in pow, one in the
-    product -- so the summation order adds no error; the rounding of the
-    exponent adds about |exponent * ln x| ulp per term.  The terms stream
-    from pow and the product straight into fsum, with no list per point.  A
-    sum that is not finite raises OverflowError, as x**e does when the power
-    alone overflows.
+    At each x, u = x^gamma * P(y) with y = x^s and P(y) = sum_n c_n y^n
+    summed by Horner's rule, so every term sits on the exact lattice
+    gamma + s*n; the size S = sum_n |c_n| x^(gamma+s*n) is summed alongside
+    it the same way on |c_n|.  For N+1 coefficients the error is at most
+    2(N+1) eps S to first order (Higham 2002, section 5.1; the rounding of y
+    counts n-fold in y^n).  Where values fall below the normal range each
+    rounding may add up to half the smallest subnormal, grown by x^gamma y^n.
+    A u or S that is not finite raises OverflowError, as x**gamma or x**s
+    does when that power alone overflows.
 
-    When the largest term exceeds 1e15 times the sum the digits are gone to
-    cancellation; a CancellationWarning is issued once and no compensation
-    is attempted.  The largest |term| is read, without forming the terms,
-    from the upper envelope of the lines log|c_n| + e_n*t at t = ln x, built
-    once per call and searched by bisection per point, and compared with
-    the sum in the log domain, so nothing overflows.  The log of a term
-    carries an absolute error of about eps*(|log|c_n|| + |e_n ln x|), about
-    1e-13 relative in the term itself, which decides the warning
-    differently only for a ratio that close to 1e15.  A sum of exactly zero
-    warns when any computed term is nonzero.
+    When S exceeds 1e15 |u| the digits are gone to cancellation; a
+    CancellationWarning is issued once per call and no compensation is
+    attempted.  S is at most N+1 times the largest term, and is the quantity
+    the error bound is stated in.  A sum of exactly zero warns when S is not.
     """
     for x in xs:
         if x < 0:
             raise ValueError(f"series is defined for x >= 0, got {x}")
-    cs = [c for c in sol.coefficients if c != 0.0]
-    es = [sol.gamma + sol.s * n for n, c in enumerate(sol.coefficients) if c != 0.0]
-    hull, breaks = _upper_envelope(es, [math.log(abs(c)) for c in cs])
+    cs = sol.coefficients[::-1]  # c_N first
+    sizes = [abs(c) for c in cs]
     out = []
     lost = False
     for x in xs:
-        try:
-            total = math.fsum(map(mul, cs, map(pow, repeat(x), es)))
-        except ValueError:  # -inf + inf among the terms
-            total = math.nan
-        if not math.isfinite(total):
+        y = x**sol.s
+        scale = x**sol.gamma
+        total = scale * _horner(cs, y)
+        size = scale * _horner(sizes, y)
+        # rounding is monotone, so |total| <= size at every step: when size
+        # is finite, so is total
+        if not math.isfinite(size):
             raise OverflowError(f"series overflows at x = {x!r}")
-        if total == 0.0:
-            lost = lost or any(map(mul, cs, map(pow, repeat(x), es)))
-        else:
-            t = math.log(x) if x > 0 else -math.inf
-            if _envelope_at(hull, breaks, t) > _LOG_CANCELLATION_RATIO + math.log(abs(total)):
-                lost = True
+        lost = lost or size > 1e15 * abs(total)
         out.append(total)
     if lost:
         warnings.warn(
@@ -404,7 +366,8 @@ def residual(
     the rounding of y amplified m-fold in y^m, the error is at most about
     3M eps sum_m |F_m| x^(gamma+s*m) (Higham 2002, section 5.1): M eps
     relative to a quantity that is itself the residual's rounding level.
-    A result that is not finite raises OverflowError, as x**e does.
+    A result that is not finite raises OverflowError, as x**gamma or x**s
+    does.
     """
     plan = compute_step(eq)
     shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
@@ -425,11 +388,7 @@ def residual(
     folded = [math.fsum(slot) for slot in reversed(slots)]  # F_M first
     out = []
     for x in xs:
-        y = x**sol.s
-        acc = 0.0
-        for f in folded:
-            acc = acc * y + f
-        r = x**sol.gamma * acc
+        r = x**sol.gamma * _horner(folded, x**sol.s)
         if not math.isfinite(r):
             raise OverflowError(f"residual overflows at x = {x!r}")
         out.append(r)

@@ -236,6 +236,32 @@ def test_overflowing_series_fails_its_root(tmp_path, capsys, lam):
     assert "[W_OVERFLOW] root 0: series overflows at x = 1.2" in report
 
 
+def _example4_spec(x_max: float) -> dict:
+    # D_R^0.5 u = 2 x^0.7 u on [x_max/16, x_max]
+    return {
+        "kind": "riemann_liouville",
+        "form": "power_factors",
+        "terms": [{"d": "-0.5", "beta_i": "0", "alpha": "0.5"}],
+        "delta": "0.7",
+        "domain": {"x_min": repr(x_max / 16), "x_max": repr(x_max), "n_points": 16},
+    }
+
+
+@pytest.mark.parametrize("x_max", [4.0, 5.0, 8.0])
+def test_underflowing_coefficient_fails_its_root(tmp_path, capsys, x_max):
+    # c_379 underflows below the normal range; at x_max = 5 and 8 its term
+    # still exceeds the tail tolerance, so the truncation could not be trusted
+    out = tmp_path / "out"
+    code = solve_command(write_spec(tmp_path, _example4_spec(x_max)), out, oracle=True)
+    report = (out / "report.txt").read_text()
+    if x_max == 4.0:
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "error: every valid root failed numerically\n"
+    assert "[W_OVERFLOW] root 0: coefficient underflow at n=379" in report
+
+
 def _oracle_value(report: str) -> float:
     (line,) = [line for line in report.splitlines() if "oracle:" in line]
     return float(line.rsplit(" = ", 1)[1])

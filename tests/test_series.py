@@ -1,12 +1,12 @@
 import math
-import random
+import re
 import sys
 import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _examples import (
@@ -43,9 +43,7 @@ from quasibessel.series import (
     _BLOWUP_LIMIT,
     _TAU_DENOM_SCALE,
     Truncation,
-    _envelope_at,
     _log_magnitude,
-    _upper_envelope,
 )
 
 
@@ -355,14 +353,51 @@ def _build_outcome(build, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def _check_lost_coefficient(eq, gamma, plan, options, n):
+    """The reference's c_n is subnormal or zero, while its term at x_max,
+    |c0 num / D_n| x_max^(gamma+sn) taken at 50 digits from the quotient
+    before it was rounded, is at least eps_tail."""
+    unit = _window_rescan_build(
+        eq, gamma, plan, n_terms=n, x_max=options["x_max"], eps_tail=options["eps_tail"]
+    ).coefficients
+    assert abs(unit[n]) < sys.float_info.min
+    s = plan.step_value
+    with mp.workdps(50):
+        num = mp.mpf(unit[n - plan.n_beta]) if n >= plan.n_beta else mp.mpf(0)
+        for i in eq.shifted_indices:
+            k, term = n - plan.n_p[i], eq.terms[i]
+            if k >= 0:
+                num += mp.mpf(unit[k]) * term.d * gamma_ratio(gamma, k * s, term.alpha)
+        d_n = -mp.mpf(eq.nu_squared)
+        for i in eq.pure_indices:
+            d_n += mp.mpf(eq.terms[i].d) * gamma_ratio(gamma, n * s, eq.terms[i].alpha)
+        size = abs(options["c0"] * num / d_n) * mp.mpf(options["x_max"]) ** (gamma + mp.mpf(s) * n)
+        assert size >= options["eps_tail"] * (1 - 1e-9)
+
+
+def _lost_coefficient_case():
+    # c_133 = 3.7e-310 is subnormal while its term at x_max is 7e91: the
+    # reference stops at N = 139, converged with tail_estimate 0.0
+    eq = QuasiBesselEquation(terms=(Term(1.5, 1.0, "0"),), beta="3", nu_squared=8.0, kind=RL)
+    options = dict(c0=20.0, x_max=10.0, eps_tail=1e-11)
+    return eq, 1.0, compute_step(eq), options, 144, 140
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(case=_recursion_case())
+@example(case=_lost_coefficient_case())
 def test_build_coefficients_matches_window_rescan(case):
+    # equal outcomes, except where a coefficient that still matters underflows
     eq, gamma, plan, options, max_terms, n_terms = case
     for mode in (dict(max_terms=max_terms), dict(n_terms=n_terms)):
         args = (eq, gamma, plan)
         new = _build_outcome(build_coefficients, *args, **options, **mode)
-        assert new == _build_outcome(_window_rescan_build, *args, **options, **mode)
+        lost = isinstance(new, tuple) and re.fullmatch(r"coefficient underflow at n=(\d+)", new[1])
+        if lost:
+            assert new[0] is ArithmeticError
+            _check_lost_coefficient(eq, gamma, plan, options, int(lost[1]))
+        else:
+            assert new == _build_outcome(_window_rescan_build, *args, **options, **mode)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -408,18 +443,6 @@ def test_evaluate_example3_combined_against_direct_series():
             ref += mp.mpf("1.5") * 2**n * xm ** (-0.3 + 1.7 * n) / mp.gamma(0.7 + 1.7 * n)
         worst = max(worst, abs(u - float(ref)))
     assert worst < 1e-10
-
-
-def test_evaluate_sum_is_exactly_rounded():
-    # sequential addition of ten 0.1 gives 0.9999999999999999
-    sol = SeriesSolution(
-        gamma=0.0,
-        s=1.0,
-        coefficients=[0.1] * 10,
-        c0=0.1,
-        truncation=Truncation(terms_used=9, tail_estimate=0.0, converged=False),
-    )
-    assert evaluate(sol, [1.0]) == [1.0]
 
 
 def test_evaluate_warns_on_cancellation():
@@ -472,59 +495,36 @@ def test_evaluate_at_zero_and_zero_sums():
         assert evaluate(series(0.0, [1.0, 0.0, -1.0]), [1.0]) == [0.0]
 
 
-def _brute_force_max(lines, t):
-    return max(b + m * t for m, b in lines)
+_EPS = sys.float_info.epsilon
+_TINY = 2.0**-1074  # the smallest subnormal
+_HUGE = sys.float_info.max
 
 
-def _check_envelope(lines, ts):
-    hull, breaks = _upper_envelope([m for m, _ in lines], [b for _, b in lines])
-    assert len(breaks) == len(hull) - 1
-    assert all(a < b for a, b in zip(breaks, breaks[1:]))
-    assert set(hull) <= set(lines)
-    for t in ts:
-        want = _brute_force_max(lines, t)
-        assert _envelope_at(hull, breaks, t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+def _lattice_sums(sol, x):
+    """At 50 digits, with gamma and s taken as exact floats: the sum
+    u = sum_n c_n x^(gamma+s*n), the size S = sum_n |c_n| x^(gamma+s*n), the
+    error allowed to evaluate, and a bound on every value evaluate forms.
 
-
-def test_upper_envelope_against_brute_force():
-    rng = random.Random(7)
-    ts = [rng.uniform(-5.0, 5.0) for _ in range(200)] + [-50.0, 0.0, 50.0]
-    for _ in range(200):
-        # few distinct slopes, so most of them are tied
-        slopes = [rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 4.0]) for _ in range(rng.randint(1, 12))]
-        _check_envelope([(m, rng.uniform(-10.0, 10.0)) for m in slopes], ts)
-
-
-def test_upper_envelope_tied_float_exponents():
-    # gamma + 1 rounds to gamma and gamma + 3 to gamma + 4: tied slopes, of
-    # which only the larger |c| may stand for each
-    sol = SeriesSolution(
-        gamma=2.0**53,
-        s=1.0,
-        coefficients=[1.0, 1e20, 3.0, 1e-5, 50.0],
-        c0=1.0,
-        truncation=Truncation(terms_used=4, tail_estimate=0.0, converged=False),
-    )
-    es = [sol.exponent(n) for n in range(5)]
-    assert es[0] == es[1] < es[2] < es[3] == es[4]
-    lines = [(e, math.log(abs(c))) for e, c in zip(es, sol.coefficients)]
-    hull, breaks = _upper_envelope(*zip(*lines))
-    assert hull == [lines[1], lines[4]]
-    _check_envelope(lines, [-1e-14, -1e-16, 0.0, 1e-16, 1e-14])
-
-
-def test_upper_envelope_at_x_zero():
-    # slopes of a series whose exponents are nonnegative; t = ln 0 = -inf
-    lines = [(0.0, 2.0), (0.5, 7.0), (1.0, -3.0)]
-    hull, breaks = _upper_envelope(*zip(*lines))
-    assert _envelope_at(hull, breaks, -math.inf) == 2.0
-    hull, breaks = _upper_envelope(*zip(*lines[1:]))
-    assert _envelope_at(hull, breaks, -math.inf) == -math.inf
+    The error allowed is 4 max(N,1) eps S plus an allowance for underflow:
+    y = x^s, x^gamma and each product may be off by half the smallest
+    subnormal, and that error grows with x^gamma y^n.  The bound covers
+    x^gamma, y, and each Horner partial sum scaled by x^gamma."""
+    n_top = max(len(sol.coefficients) - 1, 0)
+    with mp.workdps(50):
+        xm, gamma, s = mp.mpf(x), mp.mpf(sol.gamma), mp.mpf(sol.s)
+        terms = [c * xm ** (gamma + s * n) for n, c in enumerate(sol.coefficients)]
+        size = mp.fsum(map(abs, terms))
+        scale, grow = xm**gamma, max(1, xm**s) ** n_top
+        weights = mp.fsum((n + 1) * abs(c) for n, c in enumerate(sol.coefficients))
+        floor = _TINY * (n_top + 2) * (1 + scale) * (1 + weights) * grow
+        largest = max(scale, xm**s, max(1, scale) * mp.fsum(map(abs, sol.coefficients)) * grow)
+        return mp.fsum(terms), size, 4 * max(n_top, 1) * _EPS * size + floor, largest
 
 
 # evaluate as it was before the terms were streamed into fsum and the largest
 # term read from the log envelope, verbatim apart from its name and the
-# ratio's.
+# ratio's: the exactly rounded sum of the terms c_n x^e at the float
+# exponents e = gamma + s*n.
 def _list_evaluate(sol, xs):
     for x in xs:
         if x < 0:
@@ -552,33 +552,96 @@ def _list_evaluate(sol, xs):
 
 
 def _outcome(evaluator, sol, xs):
-    """(values as reprs, warned) or (exception type, message)."""
+    """(values as reprs, number of CancellationWarnings) or (exception type,
+    message)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             values = evaluator(sol, xs)
         except (ArithmeticError, ValueError) as exc:
             return type(exc), str(exc)
-    return [repr(v) for v in values], any(w.category is CancellationWarning for w in caught)
+    return [repr(v) for v in values], sum(w.category is CancellationWarning for w in caught)
 
 
-def _expected_outcome(sol, xs):
-    """_list_evaluate's outcome, except that a sum that is not finite --
-    returned, or the fsum ValueError of -inf + inf -- raises OverflowError."""
-    if any(x < 0 for x in xs):
-        return _outcome(_list_evaluate, sol, xs)
-    values, warned = [], False
+def _list_error(sol, x):
+    """_list_evaluate's own error at x > 0: each term is off by about
+    2 + |e ln x| ulp, the rounding of e = gamma + s*n counting |e ln x|-fold
+    (and that of s*n as much again), plus the final rounding and underflow."""
+    with mp.workdps(50):
+        log_x, total, error = mp.log(x), 0, 0
+        for n, c in enumerate(sol.coefficients):
+            e = mp.mpf(sol.gamma) + mp.mpf(sol.s) * n
+            term = c * mp.mpf(x) ** e
+            total += term
+            error += abs(term) * (2 + (abs(e) + abs(sol.s * n)) * abs(log_x)) + abs(c) * _TINY
+        return _EPS * (error + abs(total)) + len(sol.coefficients) * _TINY
+
+
+def _check_point(sol, x, point):
+    """evaluate(sol, [x])'s outcome: an OverflowError only where some value
+    Horner forms leaves the float range and always where S does; otherwise a
+    value within the bound of the 50-digit sum and of _list_evaluate's, and
+    a warning exactly when S > 1e15 |u|, up to the error of the computed S."""
+    if x == 0 and sol.gamma < 0:
+        assert point[0] is ZeroDivisionError  # x^gamma
+        return
+    u, size, allowed, largest = _lattice_sums(sol, x)
+    if point[0] is OverflowError:
+        assert largest > _HUGE * (1 - 1e-9)
+        assert point[1] in (f"series overflows at x = {x!r}", "(34, 'Numerical result out of range')")
+        return
+    assert size <= _HUGE * (1 + 1e-9)
+    (value,), warned = point
+    value = float(value)
+    assert abs(value - u) <= allowed
+    listed = _outcome(_list_evaluate, sol, [x])
+    if x > 0 and isinstance(listed[0], list) and math.isfinite(float(listed[0][0])):
+        assert abs(value - float(listed[0][0])) <= allowed + _list_error(sol, x)
+    if size - allowed > 1e15 * abs(value):
+        assert warned == 1
+    if size + allowed <= 1e15 * abs(value):
+        assert warned == 0
+
+
+def _lattice_solution(gamma, s, cs):
+    return SeriesSolution(
+        gamma=gamma,
+        s=s,
+        coefficients=cs,
+        c0=cs[0],
+        truncation=Truncation(terms_used=len(cs) - 1, tail_estimate=0.0, converged=False),
+    )
+
+
+def _alternating(lam, s, n_top):
+    # exp(-lam x)-type: c_n = (-lam)^n / Gamma(1 + s n)
+    return [(-1.0) ** n * math.exp(n * math.log(lam) - math.lgamma(1 + s * n))
+            for n in range(n_top + 1)]
+
+
+@st.composite
+def _lattice_series(draw):
+    n_top = draw(st.integers(0, 200))
+    s = draw(st.sampled_from((0.1, 0.25, 1 / 3, 0.5, 1.0, 1.7)))
+    if draw(st.booleans()):
+        cs = _alternating(draw(st.floats(0.1, 10.0)), s, n_top)
+    else:
+        signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n_top + 1,
+                              max_size=n_top + 1))
+        mags = draw(st.lists(st.floats(-8.0, 8.0), min_size=n_top + 1, max_size=n_top + 1))
+        cs = [sg * 10.0**m for sg, m in zip(signs, mags)]
+    sol = _lattice_solution(draw(st.floats(-1.0, 3.0)), s, cs)
+    return sol, draw(st.lists(st.floats(0.01, 6.0), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=_lattice_series())
+# exp(-x) to 120 terms: at x = 40, S = e^40 is 1e23 times the sum
+@example(case=(_lattice_solution(0.0, 1.0, _alternating(1.0, 1.0, 120)), [0.5, 40.0]))
+def test_evaluate_within_bound_of_50_digit_sum(case):
+    sol, xs = case
     for x in xs:
-        point = _outcome(_list_evaluate, sol, [x])
-        if point == (ValueError, "-inf + inf in fsum") or (
-            isinstance(point[0], list) and not math.isfinite(float(point[0][0]))
-        ):
-            return OverflowError, f"series overflows at x = {x!r}"
-        if isinstance(point[0], type):
-            return point
-        values += point[0]
-        warned = warned or point[1]
-    return values, warned
+        _check_point(sol, x, _outcome(evaluate, sol, [x]))
 
 
 _MAGNITUDES = st.one_of(
@@ -600,7 +663,7 @@ _POINTS = st.one_of(
     st.floats(0.01, 5.0),
     st.floats(1e10, 1e200),  # pow or the product overflows
     st.floats(1e-300, 1e-100),
-    st.just(0.0),  # negative exponents divide by zero
+    st.just(0.0),  # a negative gamma divides by zero
 )
 
 
@@ -621,8 +684,8 @@ def _general_case(draw):
 
 @st.composite
 def _cancellation_case(draw):
-    # c (1 - x^s) + small terms with s ln x ~ 1/ratio: the largest term is
-    # about ratio times the sum, drawn on both sides of the 1e15 threshold
+    # c (1 - x^s) + small terms with s ln x ~ 1/ratio: S is about 2 ratio
+    # times the sum, drawn on both sides of the 1e15 threshold
     ratio = 10.0 ** draw(st.floats(13.0, 17.0))
     x = draw(st.floats(1.1, 3.0))
     c = 10.0 ** draw(st.floats(-5.0, 5.0))
@@ -641,7 +704,19 @@ def _cancellation_case(draw):
 @given(case=st.one_of(_general_case(), _cancellation_case()))
 def test_evaluate_matches_list_evaluate(case):
     sol, xs = case
-    assert _outcome(evaluate, sol, xs) == _expected_outcome(sol, xs)
+    outcome = _outcome(evaluate, sol, xs)
+    if any(x < 0 for x in xs):
+        assert outcome == _outcome(_list_evaluate, sol, xs)
+        return
+    points = [_outcome(evaluate, sol, [x]) for x in xs]
+    for x, point in zip(xs, points):
+        _check_point(sol, x, point)
+    # the whole grid: the first point's error, or every value and one warning
+    failed = [point for point in points if isinstance(point[0], type)]
+    if failed:
+        assert outcome == failed[0]
+    else:
+        assert outcome == ([v for (v,), _ in points], int(any(w for _, w in points)))
 
 
 # -- fractional power rule ----------------------------------------------------
