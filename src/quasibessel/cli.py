@@ -19,7 +19,8 @@ the shifting indices survive parsing exactly.  Schema:
 Exit codes: 0 success (at least one valid, converged root); 2 validation
 failure; 3 no valid roots, or ``--root`` names a root that is not valid;
 4 numerical failure (overflow in the root search, every valid root failing
-with a denominator pole or overflow, or no series converging).  Exits 2 and
+with a denominator pole, an overflow or an undefined derivative, reported as
+W_DERIVATIVE_UNDEFINED, or no series converging).  Exits 2 and
 a root-search overflow write nothing.  Every other exit 3 or 4 still writes
 roots.csv and report.txt, plus the coefficient, solution and residual CSVs
 of each root whose series was built.  A nonzero exit prints one ``error:``
@@ -61,6 +62,7 @@ from .series import (
     EPS_TAIL,
     MAX_TERMS,
     DenominatorPoleError,
+    DerivativeUndefinedError,
     SeriesSolution,
     build_coefficients,
     compute_step,
@@ -363,10 +365,12 @@ def solve_command(
                 )
                 u_vals = evaluate(sol, xs)
                 res_vals = residual(eq, sol, xs)
-        except ArithmeticError as exc:
+        except (ArithmeticError, DerivativeUndefinedError) as exc:
             if isinstance(exc, DenominatorPoleError):
                 roots[k] = replace(roots[k], status=RootStatus.DENOMINATOR_POLE)
                 warning_lines.append(f"[W_DENOMINATOR_POLE] root {k}: {exc}")
+            elif isinstance(exc, DerivativeUndefinedError):
+                warning_lines.append(f"[W_DERIVATIVE_UNDEFINED] root {k}: {exc}")
             else:
                 warning_lines.append(f"[W_OVERFLOW] root {k}: {exc}")
             report.append(f"  root [{k}]: failed - {exc}")

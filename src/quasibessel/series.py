@@ -18,10 +18,9 @@ would be negative are absent.  A vanishing D_n means gamma + s*n is itself a
 root of the characteristic equation (a root collision) and the series does
 not exist; that is reported as DenominatorPoleError rather than patched.
 
-The residual check substitutes the truncated series back into the equation
-using the exact fractional power rule D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha)
-x^(q-alpha), so any disagreement beyond the truncation tail is a bug, not
-discretisation error.  Every power the equation produces,
+The recursion takes each Q, and the residual check each derivative, from one
+power rule (frac_derivative_power), so any disagreement beyond the truncation
+tail is a bug, not discretisation error.  Every power the equation produces,
 x^(gamma+s(n+n_pi)) and x^(gamma+s(n+n_beta)), lies on the series lattice,
 so the residual is folded onto integer lattice slots and evaluated as one
 more coefficient vector.
@@ -41,7 +40,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order
 from .gammafn import TAU_POLE, gamma_ratio
@@ -196,7 +195,8 @@ def build_coefficients(
     that falls below the normal range (|c_n| < sys.float_info.min, c0 != 0)
     while its term, taken from num and D_n before the division, is still at
     least eps_tail: its digits are lost, and the truncation rule would read
-    the lost term as small.
+    the lost term as small.  A derivative the power rule leaves undefined
+    raises DerivativeUndefinedError, except in D_n when num_n = 0: c_n = 0.
 
     The recursion is linear in c0, and that linearity is exact here: the
     coefficients are built once with unit normalisation and scaled at the end.
@@ -207,8 +207,9 @@ def build_coefficients(
         raise ValueError(f"x_max must be positive, got {x_max}")
     s = plan.step_value
     tau_denom = _TAU_DENOM_SCALE * (1.0 + eq.nu_squared)
-    pure = [eq.terms[i] for i in eq.pure_indices]
-    shifted = [(eq.terms[i], plan.n_p[i]) for i in eq.shifted_indices]
+    rules = [(t.d, _power_rule(eq.kind, t.alpha, gamma)) for t in eq.terms]
+    pure = [rules[i] for i in eq.pure_indices]
+    shifted = [rules[i] + (plan.n_p[i],) for i in eq.shifted_indices]
 
     unit = [1.0]
     # log|c0 c_n| + (gamma + s n) ln x_max of each term made, n = 1, 2, ...
@@ -222,13 +223,18 @@ def build_coefficients(
         num = 0.0
         if n >= plan.n_beta:
             num += unit[n - plan.n_beta]
-        for term, shift in shifted:
+        for d, rule, shift in shifted:
             k = n - shift
             if k >= 0 and unit[k] != 0.0:
-                num += unit[k] * term.d * gamma_ratio(gamma, k * s, term.alpha)
+                num += unit[k] * d * rule(k * s)
         d_n = -eq.nu_squared
-        for term in pure:
-            d_n += term.d * gamma_ratio(gamma, n * s, term.alpha)
+        try:
+            for d, rule in pure:
+                d_n += d * rule(n * s)
+        except DerivativeUndefinedError:
+            if num != 0.0:
+                raise
+            d_n = math.inf  # no term sits at n: c_n = -0/inf
         if abs(d_n) < tau_denom:
             raise DenominatorPoleError(n, d_n)
         c = -num / d_n
@@ -280,7 +286,7 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     counts n-fold in y^n).  Where values fall below the normal range each
     rounding may add up to half the smallest subnormal, grown by x^gamma y^n.
     A u or S that is not finite raises OverflowError, as x**gamma or x**s
-    does when that power alone overflows.
+    does when that power alone overflows; both name x.
 
     When S exceeds 1e15 |u| the digits are gone to cancellation; a
     CancellationWarning is issued once per call and no compensation is
@@ -295,8 +301,10 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     out = []
     lost = False
     for x in xs:
-        y = x**sol.s
-        scale = x**sol.gamma
+        try:
+            y, scale = x**sol.s, x**sol.gamma
+        except OverflowError:
+            raise OverflowError(f"series overflows at x = {x!r}") from None
         total = scale * _horner(cs, y)
         size = scale * _horner(sizes, y)
         # rounding is monotone, so |total| <= size at every step: when size
@@ -315,33 +323,33 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     return out
 
 
+def _power_rule(kind: DerivativeKind, alpha: float, gamma: float) -> Callable[[float], float]:
+    """frac_derivative_power at gamma + r as a function of r, ceil(alpha) taken once."""
+    caputo = kind is DerivativeKind.CAPUTO
+    floor = ceil_order(alpha) - 1 + TAU_POLE if caputo else -1.0
+
+    def rule(r: float) -> float:
+        q = gamma + r
+        if q > floor:
+            return gamma_ratio(gamma, r, alpha)
+        if caputo and round(q) >= 0 and abs(q - round(q)) < TAU_POLE:
+            return 0.0
+        raise DerivativeUndefinedError(f"{kind.value} D^{alpha} of x^{q} is undefined")
+
+    return rule
+
+
 def frac_derivative_power(kind: DerivativeKind, alpha: float, exponent: float) -> float:
-    """Coefficient of the fractional power rule
-    D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha) x^(q-alpha).
+    """Coefficient of the fractional power rule, the one that the recursion
+    and the residual share: D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha) x^(q-alpha).
 
     Riemann-Liouville needs q > -1, and the coefficient is exactly zero when
     q+1-alpha is a nonpositive integer.  Caputo of x^q with q a nonnegative
     integer below ceil(alpha) is exactly zero (the classical derivative of a
     low-degree monomial); otherwise Caputo needs q > ceil(alpha)-1 and then
-    agrees with Riemann-Liouville.
+    agrees with Riemann-Liouville (Kilbas, Srivastava & Trujillo 2006, 2.4).
     """
-    q = exponent
-    if kind is DerivativeKind.CAPUTO:
-        k = round(q)
-        if k >= 0 and abs(q - k) < TAU_POLE and k < ceil_order(alpha):
-            return 0.0
-        if q <= ceil_order(alpha) - 1:
-            raise DerivativeUndefinedError(
-                f"Caputo derivative of order {alpha} undefined for x^{q}: "
-                f"need exponent > {ceil_order(alpha) - 1} or a nonnegative "
-                f"integer below {ceil_order(alpha)}"
-            )
-    else:
-        if q <= -1:
-            raise DerivativeUndefinedError(
-                f"Riemann-Liouville derivative undefined for x^{q}: need exponent > -1"
-            )
-    return gamma_ratio(q, 0.0, alpha)
+    return _power_rule(kind, alpha, exponent)(0.0)
 
 
 def residual(
@@ -352,14 +360,14 @@ def residual(
     Precondition: ``sol.s`` is the step of ``compute_step(eq)``, as it is for
     every series ``build_coefficients`` makes from that plan.
 
-    Every series term is differentiated exactly with the fractional power
-    rule, and every power the equation produces lies on the series lattice:
+    Every series term is differentiated with the recursion's own power rule
+    and arguments, and every power the equation produces lies on the lattice:
     term i maps c_n x^(gamma+s*n) into slot n + n_p[i] (n_p = 0 for pure
     Bessel terms), x^beta into slot n + n_beta and -nu^2 into slot n.  Each
     slot is summed exactly rounded with math.fsum, so the result is the
     genuine defect of the truncated series up to rounding: slots up to the
-    truncation point hold the rounding of the recursion, the slots beyond it
-    the truncation tail.
+    truncation point hold the recursion's arithmetic rounding, not its Gamma
+    ratios' error (tested at 50 digits), and the slots beyond it the tail.
 
     The slot vector F_0..F_M is summed at each x by Horner's rule in
     y = x^s, r(x) = x^gamma * (...(F_M*y + F_(M-1))*y + ... + F_0).  With
@@ -367,19 +375,19 @@ def residual(
     3M eps sum_m |F_m| x^(gamma+s*m) (Higham 2002, section 5.1): M eps
     relative to a quantity that is itself the residual's rounding level.
     A result that is not finite raises OverflowError, as x**gamma or x**s
-    does.
+    does; both name x.
     """
     plan = compute_step(eq)
     shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
+    rules = [(t.d, _power_rule(eq.kind, t.alpha, sol.gamma)) for t in eq.terms]
     slots: List[List[float]] = [
         [] for _ in range(len(sol.coefficients) + max(shifts + [plan.n_beta]))
     ]
     for n, c in enumerate(sol.coefficients):
         if c == 0.0:
             continue
-        q = sol.gamma + sol.s * n
-        for t, shift in zip(eq.terms, shifts):
-            slots[n + shift].append(t.d * c * frac_derivative_power(eq.kind, t.alpha, q))
+        for (d, rule), shift in zip(rules, shifts):
+            slots[n + shift].append(d * c * rule(n * sol.s))
         slots[n + plan.n_beta].append(c)
         slots[n].append(-eq.nu_squared * c)
     for x in xs:
@@ -388,7 +396,10 @@ def residual(
     folded = [math.fsum(slot) for slot in reversed(slots)]  # F_M first
     out = []
     for x in xs:
-        r = x**sol.gamma * _horner(folded, x**sol.s)
+        try:
+            r = x**sol.gamma * _horner(folded, x**sol.s)
+        except OverflowError:
+            r = math.inf
         if not math.isfinite(r):
             raise OverflowError(f"residual overflows at x = {x!r}")
         out.append(r)

@@ -200,6 +200,8 @@ def test_uniqueness_bound_overflow_reported_as_inf(tmp_path):
     assert solve_command(write_spec(tmp_path, spec), out) == EXIT_NUMERICAL
     report = (out / "report.txt").read_text()
     assert "uniqueness bound at b = 1e+300: inf; nu^2 does not exceed it" in report
+    # x**gamma overflows at the second grid point; the line names the stage and x
+    assert "[W_OVERFLOW] root 1: series overflows at x = 3.4482758620689656e+298\n" in report
 
 
 def test_root_search_overflow_exits_numerical(tmp_path, capsys):
@@ -311,6 +313,65 @@ def test_tracer_times_every_stage(tmp_path, monkeypatch):
     for metric in ("characteristic.roots", "series.terms", "series.term_points"):
         assert metrics.get(metric, 0) > 0, metric
     assert cli.solve_command is solve_command
+
+
+# Caputo D^1.5 u + D^1.2 u + u = 0: both integer leading exponents carry a
+# solution, whose coefficients depend on the Caputo derivative of x^0 and x^1
+CAPUTO_TWO_TERM_SPEC = {
+    "kind": "caputo",
+    "form": "constant_coefficients",
+    "terms": [{"d": "1", "alpha": "1.5"}, {"d": "1", "alpha": "1.2"}],
+    "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+}
+
+# u(0) = 1, u'(0) = 0 (gamma = 0) and u(0) = 0, u'(0) = 1 (gamma = 1) have the
+# Laplace transforms (p^0.5 + p^0.2)/(p^1.5 + p^1.2 + 1) and
+# (p^-0.5 + p^-0.8)/(p^1.5 + p^1.2 + 1); their inverses at x = 0.1 and x = 1,
+# by mpmath.invertlaplace (Talbot and de Hoog agree to 1e-42 at 40 digits)
+CAPUTO_TWO_TERM_U = {
+    0.0: {0.1: 0.9831242029575731168644177, 1.0: 0.6380402611460231533958852},
+    1.0: {0.1: 0.09930140292834957576475759, 1.0: 0.8393848023181784736035071},
+}
+
+
+def test_caputo_integer_exponents_match_inverse_laplace(tmp_path):
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, CAPUTO_TWO_TERM_SPEC), out) == EXIT_OK
+    index = {float(r["gamma"]): k for k, r in enumerate(read_csv(out / "roots.csv"))}
+    report = (out / "report.txt").read_text()
+    for gamma, exact in CAPUTO_TWO_TERM_U.items():
+        k = index[gamma]
+        line = next(x for x in report.splitlines() if x.startswith(f"  root [{k}]: gamma"))
+        assert "converged = True" in line
+        assert float(line.rsplit("= ", 1)[1]) <= 1e-12
+        u = {float(r["x"]): float(r["u"]) for r in read_csv(out / f"solution_{k}.csv")}
+        for x, value in exact.items():
+            assert abs(u[x] - value) <= 1e-14, (gamma, x)
+
+
+def test_undefined_caputo_derivative_fails_its_root(tmp_path, capsys):
+    # Caputo x^2.3 D^2.3 u + x^0.7 u = 0: at gamma = 0 and gamma = 1 the
+    # recursion needs D^2.3 of x^0.7 and x^1.7, which do not exist, while
+    # gamma = 2 has a series
+    spec = {
+        "kind": "caputo",
+        "form": "quasi_bessel",
+        "terms": [{"d": "1", "alpha": "2.3", "p": "0"}],
+        "beta": "0.7",
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    }
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    gammas = [float(r["gamma"]) for r in read_csv(out / "roots.csv")]
+    assert [gammas[k] for k in (1, 3, 5)] == [0.0, 1.0, 2.0]
+    report = (out / "report.txt").read_text()
+    for k in (1, 3):
+        assert report.count(f"  root [{k}]: failed - ") == 1
+        assert report.count(f"[W_DERIVATIVE_UNDEFINED] root {k}: ") == 1
+    assert report.count("failed - ") == report.count("[W_DERIVATIVE_UNDEFINED]") == 2
+    assert "  root [5]: gamma = 2.0 " in report and "converged = True" in report
+    assert (out / "solution_5.csv").exists() and not (out / "solution_1.csv").exists()
 
 
 def test_caputo_mittag_leffler_path(tmp_path):

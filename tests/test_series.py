@@ -3,6 +3,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -22,6 +23,7 @@ from _examples import (
 )
 from quasibessel import (
     CancellationWarning,
+    CharacteristicRoot,
     DenominatorPoleError,
     DerivativeUndefinedError,
     QuasiBesselEquation,
@@ -29,12 +31,15 @@ from quasibessel import (
     Term,
     build_coefficients,
     c0_for_initial_derivative,
+    caputo_integer_exponents,
     compute_step,
     evaluate,
     find_roots,
     frac_derivative_power,
     residual,
+    screen_collisions,
 )
+from quasibessel.cli import build_equation
 from quasibessel.equation import DerivativeKind, ceil_order
 from quasibessel.gammafn import gamma_ratio
 from quasibessel.series import (
@@ -47,8 +52,20 @@ from quasibessel.series import (
 )
 
 
+SOLVEBENCH = Path(__file__).resolve().parents[1] / "solvebench"
+
+
 def _valid_gamma(eq):
     return [r for r in find_roots(eq) if r.is_valid][0].gamma
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """solvebench's 50-digit reference, imported by path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(SOLVEBENCH))
+        import reference
+    return reference
 
 
 # -- step plan --------------------------------------------------------------
@@ -398,6 +415,71 @@ def test_build_coefficients_matches_window_rescan(case):
             _check_lost_coefficient(eq, gamma, plan, options, int(lost[1]))
         else:
             assert new == _build_outcome(_window_rescan_build, *args, **options, **mode)
+
+
+def _check_caputo_series(reference, spec, gamma, bound=1e-12):
+    """|c_n - c_ref| x_max^(gamma+sn) <= bound times the largest term, with
+    c_ref from the 50-digit reference recursion, which takes the Caputo
+    derivative of x^j (j a nonnegative integer below ceil(alpha)) as 0."""
+    eq = build_equation(spec)
+    plan = compute_step(eq)
+    x_max = float(spec["domain"]["x_max"])
+    sol = build_coefficients(eq, gamma, plan, x_max=x_max)
+    ref = reference.build_series(
+        reference.parse_spec(spec), reference.ctx.mpf(int(gamma)), len(sol.coefficients) - 1
+    )
+    with mp.workdps(50):
+        step = mp.mpf(plan.s.numerator) / plan.s.denominator
+        weights = [mp.mpf(x_max) ** (gamma + step * n) for n in range(len(sol.coefficients))]
+        c_ref = [mp.mpf(c) for c in ref.coefficients]
+        largest = max(abs(c) * w for c, w in zip(c_ref, weights))
+        for n, (c, exact, w) in enumerate(zip(sol.coefficients, c_ref, weights)):
+            assert abs(c - exact) * w <= bound * largest, n
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_caputo_integer_exponent_series_match_50_digits(reference, gamma):
+    # Caputo D^1.5 u + D^1.2 u + u = 0: at gamma = 0 the recursion needs
+    # D^1.2 x^0 = 0 and, at gamma = 1, D^1.2 x^1 = 0, where Riemann-Liouville's
+    # values are nonzero
+    spec = {
+        "kind": "caputo",
+        "form": "constant_coefficients",
+        "terms": [{"d": "1", "alpha": "1.5"}, {"d": "1", "alpha": "1.2"}],
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    }
+    _check_caputo_series(reference, spec, gamma)
+
+
+@st.composite
+def _caputo_constant_coefficients(draw):
+    # sum_i D^alpha_i u + u = 0 with 2-3 orders alpha_i = k/20 in (0.3, 2.4)
+    orders = draw(st.lists(st.integers(7, 47), min_size=2, max_size=3, unique=True))
+    return {
+        "kind": "caputo",
+        "form": "constant_coefficients",
+        "terms": [{"d": "1", "alpha": repr(k / 20)} for k in orders],
+        "domain": {"x_min": "0.1", "x_max": draw(st.sampled_from(("0.5", "1", "2"))),
+                   "n_points": 2},
+    }
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(spec=_caputo_constant_coefficients())
+def test_caputo_integer_exponent_series_match_50_digits_random(reference, spec):
+    # every integer leading exponent that survives the collision screening.
+    # The bound is not 1e-12: the program's Gamma ratios are off by up to a
+    # few hundred ulp, and over ~2000 steps of small-step lattices
+    # (s = 1/20) whose terms reach 1e17 that gives up to 1.7e-12 of the
+    # largest term, against 7e-14 with correctly rounded ratios.  Taking the
+    # Riemann-Liouville value for the Caputo derivative of x^j errs by the
+    # size of the terms themselves.
+    eq = build_equation(spec)
+    integers = caputo_integer_exponents(eq)
+    roots = find_roots(eq) + [CharacteristicRoot(gamma=float(j)) for j in integers]
+    valid = {r.gamma for r in screen_collisions(roots, compute_step(eq)) if r.is_valid}
+    for gamma in sorted(valid & set(map(float, integers))):
+        _check_caputo_series(reference, spec, gamma, bound=1e-10)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -828,8 +910,13 @@ def test_residual_overflow_raises():
     # exp(-x) at x = 1e20: the slots reach y^30 = 1e600
     eq = example2()
     sol = build_coefficients(eq, 0.0, compute_step(eq), n_terms=30)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"residual overflows at x = 1e\+20$"):
         residual(eq, sol, [1e20])
+    # x**gamma itself overflows at x = 1e300
+    eq = example1(2.0)
+    sol = build_coefficients(eq, _valid_gamma(eq), compute_step(eq), n_terms=5)
+    with pytest.raises(OverflowError, match=r"residual overflows at x = 1e\+300$"):
+        residual(eq, sol, [1.0, 1e300])
 
 
 # The residual as it was before the Horner sum, verbatim apart from the names
