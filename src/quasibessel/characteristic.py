@@ -1,4 +1,4 @@
-"""Characteristic equation: evaluation, root search, and root screening.
+"""Characteristic equation: evaluation, leading exponents, and root screening.
 
 The leading exponent gamma of a series solution must satisfy
 
@@ -22,6 +22,9 @@ Bisection calls the scalar ``characteristic_value``, which stays the
 definition of G.  When a single pure Bessel term meets nu = 0 the roots are
 known in closed form -- gamma = alpha - k for integers k >= 1 down to the -1
 floor -- and are emitted exactly instead of scanned.
+
+``find_roots`` adds the Caputo integer exponents (``caputo_integer_exponents``)
+to the roots of G, so it is the one list of leading exponents the solver tries.
 
 A root can fail to generate a solution in two ways: for Caputo equations it
 may sit at or below n_max - 1, where the fractional derivatives of x^gamma do
@@ -146,7 +149,9 @@ def _grid_values(eq: QuasiBesselEquation, grid: Sequence[float]) -> List[float]:
 
 
 def _status_for(eq: QuasiBesselEquation, gamma: float) -> RootStatus:
-    if gamma <= eq.caputo_floor() + 1e-12:
+    # Caputo derivatives of fractional order alpha need gamma > ceil(alpha) - 1
+    caputo = eq.kind is DerivativeKind.CAPUTO and eq.n_max is not None
+    if caputo and gamma <= eq.n_max - 1 + 1e-12:
         return RootStatus.BELOW_CAPUTO_FLOOR
     return RootStatus.VALID
 
@@ -161,7 +166,6 @@ def _analytic_family(eq: QuasiBesselEquation) -> List[CharacteristicRoot]:
         g = alpha - k
         roots.append(CharacteristicRoot(gamma=g, status=_status_for(eq, g)))
         k += 1
-    roots.sort(key=lambda root: root.gamma)
     return roots
 
 
@@ -201,7 +205,47 @@ def find_roots(
     search_hi: Optional[float] = None,
     grid_points: int = GRID_POINTS,
 ) -> List[CharacteristicRoot]:
-    """All real roots of G on (-1 + 2*TAU_POLE, search_hi], sorted ascending.
+    """Every leading exponent the solver tries, sorted ascending: the real
+    roots of G (in closed form for one pure term with nu = 0, else by
+    ``_scan_roots``) and the integers of ``caputo_integer_exponents``.
+
+    A root of G within TAU_POLE of such an integer j is replaced by j, valid.
+    Other Caputo roots at or below n_max - 1 are returned flagged rather than
+    dropped, so callers can report why they generate no solution.
+    """
+    if eq.m1 == 0:
+        warnings.warn(
+            RootSearchWarning(
+                "no pure Bessel terms: G(gamma) is the constant -nu^2 and has no roots"
+            )
+        )
+        return []
+    if eq.nu_squared == 0.0 and eq.m1 == 1:
+        roots = _analytic_family(eq)
+    else:
+        roots = _scan_roots(eq, search_hi, grid_points)
+    integers = caputo_integer_exponents(eq)
+    roots = [r for r in roots if all(abs(r.gamma - j) >= TAU_POLE for j in integers)]
+    roots += [CharacteristicRoot(float(j)) for j in integers]
+    roots.sort(key=lambda root: root.gamma)
+    return roots
+
+
+def caputo_integer_exponents(eq: QuasiBesselEquation) -> List[int]:
+    """The integers j >= 0 below every pure order's ceiling, for a Caputo
+    equation with nu = 0: D^alpha_i x^j = 0 there, so the zeroth balance holds
+    without G(j) = 0.  They carry the constant-coefficient (Mittag-Leffler)
+    solutions, whose characteristic roots sit below the Caputo floor."""
+    if eq.kind is not DerivativeKind.CAPUTO or eq.nu_squared != 0.0 or eq.m1 == 0:
+        return []
+    return list(range(min(ceil_order(eq.terms[i].alpha) for i in eq.pure_indices)))
+
+
+def _scan_roots(
+    eq: QuasiBesselEquation, search_hi: Optional[float], grid_points: int
+) -> List[CharacteristicRoot]:
+    """All real roots of G on (-1 + 2*TAU_POLE, search_hi], for an equation
+    with a pure Bessel term.
 
     The fine grid runs from floor + step to search_hi in ``grid_points``
     steps, with floor = -1 + TAU_POLE; one more sample at -1 + 2*TAU_POLE,
@@ -235,20 +279,7 @@ def find_roots(
     window that is then doubled.  If G still is not monotone positive after
     the last doubling, a RootSearchWarning names the window, since a root
     above it would be missed.
-
-    Caputo roots at or below n_max - 1 are returned flagged rather than
-    dropped, so callers can report why they generate no solution.
     """
-    if eq.m1 == 0:
-        warnings.warn(
-            RootSearchWarning(
-                "no pure Bessel terms: G(gamma) is the constant -nu^2 and has no roots"
-            )
-        )
-        return []
-    if eq.nu_squared == 0.0 and eq.m1 == 1:
-        return _analytic_family(eq)
-
     floor = -1.0 + TAU_POLE
     first = -1.0 + 2.0 * TAU_POLE
     hi = _default_search_hi(eq) if search_hi is None else float(search_hi)
@@ -319,7 +350,6 @@ def find_roots(
                 f"with {grid_points} samples"
             )
         )
-    roots.sort(key=lambda root: root.gamma)
     return roots
 
 
@@ -355,18 +385,3 @@ def screen_collisions(
             screened.append(root)
     return screened
 
-
-def caputo_integer_exponents(eq: QuasiBesselEquation) -> List[int]:
-    """Nonnegative integer leading exponents j admissible for Caputo
-    equations with nu = 0: the Caputo derivative of x^j vanishes for every
-    pure Bessel term when j < ceil(alpha_i), so the zeroth balance holds
-    without gamma being a characteristic root.  This is how the
-    constant-coefficient Caputo reduction produces Mittag-Leffler solutions
-    even though every characteristic root sits below the Caputo floor.
-    """
-    if eq.kind is not DerivativeKind.CAPUTO or eq.nu_squared != 0.0:
-        return []
-    if eq.m1 == 0:
-        return []
-    limit = min(ceil_order(eq.terms[i].alpha) for i in eq.pure_indices)
-    return list(range(0, max(limit, 0)))

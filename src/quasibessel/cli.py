@@ -40,14 +40,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
-from .characteristic import (
-    CharacteristicRoot,
-    RootStatus,
-    caputo_integer_exponents,
-    characteristic_value,
-    find_roots,
-    screen_collisions,
-)
+from .characteristic import RootStatus, characteristic_value, find_roots, screen_collisions
 from .equation import (
     DerivativeKind,
     QuasiBesselEquation,
@@ -309,11 +302,6 @@ def solve_command(
         return EXIT_NUMERICAL
     for w in caught:
         warning_lines.append(f"[W_ROOT_SEARCH] {w.message}")
-    present = {round(r.gamma, 9) for r in roots}
-    for j in caputo_integer_exponents(eq):
-        if round(float(j), 9) not in present:
-            roots.append(CharacteristicRoot(gamma=float(j), status=RootStatus.VALID))
-    roots.sort(key=lambda root: root.gamma)
     roots = screen_collisions(roots, plan)
 
     output_dir.mkdir(parents=True, exist_ok=True)

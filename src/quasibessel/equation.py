@@ -186,17 +186,6 @@ class QuasiBesselEquation:
     def p_value(self, i: int) -> float:
         return float(self.terms[i].p) * self.r
 
-    def caputo_floor(self) -> float:
-        """Smallest admissible leading exponent (exclusive) for this kind.
-
-        Riemann-Liouville only needs gamma > -1.  Caputo additionally needs
-        gamma > n_max - 1 so the derivatives of x^gamma exist, whenever a
-        fractional derivative order is present.
-        """
-        if self.kind is DerivativeKind.CAPUTO and self.n_max is not None:
-            return float(self.n_max - 1)
-        return -1.0
-
 
 # -- validation -----------------------------------------------------------
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .equation import DerivativeKind, QuasiBesselEquation, ceil_order
+from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
 from .gammafn import TAU_POLE, gamma_ratio
 from .rational import gcf, lcd
 
@@ -325,7 +325,7 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
 
 def _power_rule(kind: DerivativeKind, alpha: float, gamma: float) -> Callable[[float], float]:
     """frac_derivative_power at gamma + r as a function of r, ceil(alpha) taken once."""
-    caputo = kind is DerivativeKind.CAPUTO
+    caputo = kind is DerivativeKind.CAPUTO and not is_integer_order(alpha)
     floor = ceil_order(alpha) - 1 + TAU_POLE if caputo else -1.0
 
     def rule(r: float) -> float:
@@ -344,10 +344,13 @@ def frac_derivative_power(kind: DerivativeKind, alpha: float, exponent: float) -
     and the residual share: D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha) x^(q-alpha).
 
     Riemann-Liouville needs q > -1, and the coefficient is exactly zero when
-    q+1-alpha is a nonpositive integer.  Caputo of x^q with q a nonnegative
-    integer below ceil(alpha) is exactly zero (the classical derivative of a
-    low-degree monomial); otherwise Caputo needs q > ceil(alpha)-1 and then
-    agrees with Riemann-Liouville (Kilbas, Srivastava & Trujillo 2006, 2.4).
+    q+1-alpha is a nonpositive integer.  For a fractional order, Caputo of
+    x^q with q a nonnegative integer below ceil(alpha) is exactly zero (the
+    classical derivative of a low-degree monomial); otherwise Caputo needs
+    q > ceil(alpha)-1 and then agrees with Riemann-Liouville.  For an integer
+    order n both are the classical D^n (Kilbas, Srivastava & Trujillo 2006,
+    2.4), so Caputo takes the Riemann-Liouville rule: D^n x^q =
+    q(q-1)...(q-n+1) x^(q-n) for q > -1, zero at q = 0..n-1.
     """
     return _power_rule(kind, alpha, exponent)(0.0)
 

@@ -29,6 +29,7 @@ from quasibessel import (
     characteristic_value,
     compute_step,
     find_roots,
+    from_constant_coefficients,
     screen_collisions,
 )
 from quasibessel.characteristic import (
@@ -196,7 +197,24 @@ def test_find_roots_caputo_flags_analytic_family():
         terms=eq.terms, beta=eq.beta, nu_squared=0.0, r=eq.r, kind=CAPUTO
     )
     roots = find_roots(eq)
-    assert [r.status for r in roots] == [RootStatus.BELOW_CAPUTO_FLOOR] * 3
+    # the roots 2.1 - k of G are flagged; the integers below ceil(2.1) are
+    # leading exponents too
+    flagged, valid = RootStatus.BELOW_CAPUTO_FLOOR, RootStatus.VALID
+    assert [(r.gamma, r.status) for r in roots] == [
+        (pytest.approx(-0.9), flagged), (0.0, valid), (pytest.approx(0.1), flagged),
+        (1.0, valid), (pytest.approx(1.1), flagged), (2.0, valid),
+    ]
+
+
+def test_find_roots_bagley_torvik_integer_roots_are_exponents():
+    # Caputo u'' + D^1.5 u + u = 0: G has the roots 0 and 1 of D^2, which lie
+    # at or below the floor n_max - 1 = 1 set by D^1.5, yet are its integer
+    # exponents, so they come back exactly once each and valid
+    eq = from_constant_coefficients([(1.0, "2"), (1.0, "1.5")], kind=CAPUTO)
+    roots = find_roots(eq)
+    assert [(r.gamma, r.status) for r in roots] == [
+        (0.0, RootStatus.VALID), (1.0, RootStatus.VALID),
+    ]
 
 
 def test_find_roots_warns_when_no_pure_bessel_terms():

@@ -349,6 +349,52 @@ def test_caputo_integer_exponents_match_inverse_laplace(tmp_path):
             assert abs(u[x] - value) <= 1e-14, (gamma, x)
 
 
+# Bagley-Torvik u'' + D^1.5 u + u = 0 (Caputo).  The solution with u(0) = 0,
+# u'(0) = 1 (gamma = 1) has the Laplace transform
+# (1 + p^-0.5)/(p^2 + p^1.5 + 1); its inverse at x = 0.1 and x = 1, by
+# mpmath.invertlaplace (Talbot and de Hoog agree to 1e-44 at 40 digits)
+BAGLEY_TORVIK_SPEC = {
+    "kind": "caputo",
+    "form": "constant_coefficients",
+    "terms": [{"d": "1", "alpha": "2"}, {"d": "1", "alpha": "1.5"}],
+    "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+}
+BAGLEY_TORVIK_U = {0.1: 0.09985694880909062220421505, 1.0: 0.8949108189449708611419411}
+
+
+def test_bagley_torvik_matches_inverse_laplace(tmp_path):
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, BAGLEY_TORVIK_SPEC), out) == EXIT_OK
+    rows = read_csv(out / "roots.csv")
+    assert [(float(r["gamma"]), r["status"], r["collision_step"]) for r in rows] == [
+        (0.0, "collision_invalid", "2"), (1.0, "valid", ""),
+    ]
+    report = (out / "report.txt").read_text()
+    assert "  root [1]: gamma = 1.0 " in report and "converged = True" in report
+    u = {float(r["x"]): float(r["u"]) for r in read_csv(out / "solution_1.csv")}
+    for x, value in BAGLEY_TORVIK_U.items():
+        assert abs(u[x] - value) <= 1e-14, x
+
+
+def test_caputo_integer_order_below_fractional_floor(tmp_path, capsys):
+    # Caputo x^2 u'' + x^0.5 D^0.5 u + (x - 1) u = 0: the root 0.9048 lies
+    # below ceil(2) - 1 = 1, but D^2 is classical and exists there
+    spec = {
+        "kind": "caputo",
+        "form": "quasi_bessel",
+        "terms": [{"d": "1", "alpha": "2", "p": "0"}, {"d": "1", "alpha": "0.5", "p": "0"}],
+        "beta": "1",
+        "nu": "1",
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    }
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert [r["status"] for r in read_csv(out / "roots.csv")] == ["valid"]
+    report = (out / "report.txt").read_text()
+    assert "  root [0]: gamma = 0.90479848" in report and "converged = True" in report
+
+
 def test_undefined_caputo_derivative_fails_its_root(tmp_path, capsys):
     # Caputo x^2.3 D^2.3 u + x^0.7 u = 0: at gamma = 0 and gamma = 1 the
     # recursion needs D^2.3 of x^0.7 and x^1.7, which do not exist, while

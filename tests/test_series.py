@@ -23,7 +23,6 @@ from _examples import (
 )
 from quasibessel import (
     CancellationWarning,
-    CharacteristicRoot,
     DenominatorPoleError,
     DerivativeUndefinedError,
     QuasiBesselEquation,
@@ -419,14 +418,15 @@ def test_build_coefficients_matches_window_rescan(case):
 
 def _check_caputo_series(reference, spec, gamma, bound=1e-12):
     """|c_n - c_ref| x_max^(gamma+sn) <= bound times the largest term, with
-    c_ref from the 50-digit reference recursion, which takes the Caputo
-    derivative of x^j (j a nonnegative integer below ceil(alpha)) as 0."""
+    c_ref from the 50-digit reference recursion at the same float gamma,
+    which takes the Caputo derivative of x^j (j a nonnegative integer below
+    ceil(alpha)) as 0."""
     eq = build_equation(spec)
     plan = compute_step(eq)
     x_max = float(spec["domain"]["x_max"])
     sol = build_coefficients(eq, gamma, plan, x_max=x_max)
     ref = reference.build_series(
-        reference.parse_spec(spec), reference.ctx.mpf(int(gamma)), len(sol.coefficients) - 1
+        reference.parse_spec(spec), reference.ctx.mpf(gamma), len(sol.coefficients) - 1
     )
     with mp.workdps(50):
         step = mp.mpf(plan.s.numerator) / plan.s.denominator
@@ -449,6 +449,28 @@ def test_caputo_integer_exponent_series_match_50_digits(reference, gamma):
         "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
     }
     _check_caputo_series(reference, spec, gamma)
+
+
+def test_caputo_integer_order_series_match_50_digits(reference):
+    # Caputo x^2 u'' + x^0.5 D^0.5 u + (x - 1) u = 0: the integer order 2 is
+    # the classical derivative, which exists at the root gamma = 0.9048 below
+    # the fractional floor ceil(2) - 1 = 1
+    spec = {
+        "kind": "caputo",
+        "form": "quasi_bessel",
+        "terms": [{"d": "1", "alpha": "2", "p": "0"}, {"d": "1", "alpha": "0.5", "p": "0"}],
+        "beta": "1",
+        "nu": "1",
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    }
+    eq = build_equation(spec)
+    (root,) = find_roots(eq)
+    assert root.is_valid and 0.9 < root.gamma < 0.91
+    _check_caputo_series(reference, spec, root.gamma)
+    # the residual needs D^2 of x^gamma itself; its slot 0 is G(gamma), which
+    # the root's bisection leaves at ~3e-11
+    sol = build_coefficients(eq, root.gamma, compute_step(eq), x_max=1.0)
+    assert max(map(abs, residual(eq, sol, [0.1, 0.55, 1.0]))) <= 1e-10
 
 
 @st.composite
@@ -475,10 +497,9 @@ def test_caputo_integer_exponent_series_match_50_digits_random(reference, spec):
     # Riemann-Liouville value for the Caputo derivative of x^j errs by the
     # size of the terms themselves.
     eq = build_equation(spec)
-    integers = caputo_integer_exponents(eq)
-    roots = find_roots(eq) + [CharacteristicRoot(gamma=float(j)) for j in integers]
-    valid = {r.gamma for r in screen_collisions(roots, compute_step(eq)) if r.is_valid}
-    for gamma in sorted(valid & set(map(float, integers))):
+    integers = set(map(float, caputo_integer_exponents(eq)))
+    roots = screen_collisions(find_roots(eq), compute_step(eq))
+    for gamma in sorted({r.gamma for r in roots if r.is_valid} & integers):
         _check_caputo_series(reference, spec, gamma, bound=1e-10)
 
 
@@ -820,6 +841,9 @@ def test_power_rule_matches_gamma_ratio_for_valid_exponents():
             ref = float(mp.gamma(q + 1) / mp.gamma(q + 1 - alpha))
             assert rl == pytest.approx(ref, rel=1e-12)
             assert cap == rl
+    # an integer order is the classical derivative at every q > -1:
+    # (x^0.5)'' = -0.25 x^-1.5, below the fractional floor ceil(2) - 1
+    assert frac_derivative_power(CAPUTO, 2.0, 0.5) == pytest.approx(-0.25, rel=1e-15)
 
 
 def test_power_rule_preconditions():
