@@ -343,6 +343,7 @@ def solve_command(
     if selected:
         report += ["", "series solutions:"]
     built = converged = 0
+    x_cells = [_fmt(x) for x in xs]  # shared by every solution and residual CSV
     for k in selected:
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -389,12 +390,12 @@ def solve_command(
         _write_csv(
             output_dir / f"solution_{k}.csv",
             ["x", "u"],
-            [[_fmt(x), _fmt(u)] for x, u in zip(xs, u_vals)],
+            [[x, _fmt(u)] for x, u in zip(x_cells, u_vals)],
         )
         _write_csv(
             output_dir / f"residual_{k}.csv",
             ["x", "residual"],
-            [[_fmt(x), _fmt(v)] for x, v in zip(xs, res_vals)],
+            [[x, _fmt(v)] for x, v in zip(x_cells, res_vals)],
         )
         if oracle:
             oracle_line = _oracle_check(eq, sol, xs, u_vals)

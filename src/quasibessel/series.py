@@ -28,9 +28,9 @@ more coefficient vector.
 Evaluation and residual sum the same way: by Horner's rule in y = x^s on
 the integer lattice indices, scaled by x^gamma, with two pow calls per point
 and no float exponent.  evaluate sums the coefficients c_n, residual its
-folded slots F_m; evaluate also sums |c_n| in the same pass, which gives the
-size sum_n |c_n| x^(gamma+s*n) that its error bound and its cancellation
-warning are stated in.
+folded slots F_m.  evaluate's size sum_n |c_n| x^(gamma+s*n) is summed once
+per grid, at the largest y, as a bound for every point, and summed again only
+at a point where that bound leaves the overflow or cancellation test open.
 """
 
 from __future__ import annotations
@@ -280,38 +280,53 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
 
     At each x, u = x^gamma * P(y) with y = x^s and P(y) = sum_n c_n y^n
     summed by Horner's rule, so every term sits on the exact lattice
-    gamma + s*n; the size S = sum_n |c_n| x^(gamma+s*n) is summed alongside
-    it the same way on |c_n|.  For N+1 coefficients the error is at most
-    2(N+1) eps S to first order (Higham 2002, section 5.1; the rounding of y
-    counts n-fold in y^n).  Where values fall below the normal range each
-    rounding may add up to half the smallest subnormal, grown by x^gamma y^n.
-    A u or S that is not finite raises OverflowError, as x**gamma or x**s
-    does when that power alone overflows; both name x.
+    gamma + s*n.  For N+1 coefficients the error is at most 2(N+1) eps S to
+    first order, S = sum_n |c_n| x^(gamma+s*n) being the size (Higham 2002,
+    section 5.1; the rounding of y counts n-fold in y^n).  Where values fall
+    below the normal range each rounding may add up to half the smallest
+    subnormal, grown by x^gamma y^n.  A u or S that is not finite raises
+    OverflowError, as x**gamma or x**s does when that power alone
+    overflows; both name the first such x of the grid.
 
     When S exceeds 1e15 |u| the digits are gone to cancellation; a
     CancellationWarning is issued once per call and no compensation is
     attempted.  S is at most N+1 times the largest term, and is the quantity
     the error bound is stated in.  A sum of exactly zero warns when S is not.
+
+    S is summed once per grid, at the largest y, and x^gamma times that sum
+    bounds the computed S at every x, since Horner on |c_n| rounds each
+    multiply and add monotonically; S itself is summed only at an x where the
+    bound is not finite or exceeds 1e15 |u|.
     """
     for x in xs:
         if x < 0:
             raise ValueError(f"series is defined for x >= 0, got {x}")
+        if x == 0 and sol.gamma < 0:
+            raise ValueError(f"series with gamma = {sol.gamma!r} < 0 is undefined at x = 0")
     cs = sol.coefficients[::-1]  # c_N first
     sizes = [abs(c) for c in cs]
-    out = []
-    lost = False
+    powers = []
     for x in xs:
         try:
-            y, scale = x**sol.s, x**sol.gamma
+            powers.append((x**sol.s, x**sol.gamma))
         except OverflowError:
-            raise OverflowError(f"series overflows at x = {x!r}") from None
-        total = scale * _horner(cs, y)
-        size = scale * _horner(sizes, y)
-        # rounding is monotone, so |total| <= size at every step: when size
-        # is finite, so is total
-        if not math.isfinite(size):
+            powers.append(None)  # raised in grid order below
+    bound = _horner(sizes, max((p[0] for p in powers if p), default=0.0))
+    out = []
+    lost = False
+    for x, p in zip(xs, powers):
+        if p is None:
             raise OverflowError(f"series overflows at x = {x!r}")
-        lost = lost or size > 1e15 * abs(total)
+        y, scale = p
+        total = scale * _horner(cs, y)
+        # fails on a bound that is not finite, since inf > float max
+        if not scale * bound <= min(1e15 * abs(total), sys.float_info.max):
+            size = scale * _horner(sizes, y)
+            # rounding is monotone, so |total| <= size at every step: when
+            # size is finite, so is total
+            if not math.isfinite(size):
+                raise OverflowError(f"series overflows at x = {x!r}")
+            lost = lost or size > 1e15 * abs(total)
         out.append(total)
     if lost:
         warnings.warn(

@@ -37,6 +37,7 @@ from quasibessel import (
     frac_derivative_power,
     residual,
     screen_collisions,
+    series,
 )
 from quasibessel.cli import build_equation
 from quasibessel.equation import DerivativeKind, ceil_order
@@ -625,13 +626,15 @@ def _lattice_sums(sol, x):
 
 
 # evaluate as it was before the terms were streamed into fsum and the largest
-# term read from the log envelope, verbatim apart from its name and the
-# ratio's: the exactly rounded sum of the terms c_n x^e at the float
-# exponents e = gamma + s*n.
+# term read from the log envelope, verbatim apart from its name, the ratio's
+# and evaluate's up-front rejection of x = 0 when gamma < 0: the exactly
+# rounded sum of the terms c_n x^e at the float exponents e = gamma + s*n.
 def _list_evaluate(sol, xs):
     for x in xs:
         if x < 0:
             raise ValueError(f"series is defined for x >= 0, got {x}")
+        if x == 0 and sol.gamma < 0:
+            raise ValueError(f"series with gamma = {sol.gamma!r} < 0 is undefined at x = 0")
     lattice = [
         (c, sol.gamma + sol.s * n) for n, c in enumerate(sol.coefficients) if c != 0.0
     ]
@@ -686,7 +689,8 @@ def _check_point(sol, x, point):
     value within the bound of the 50-digit sum and of _list_evaluate's, and
     a warning exactly when S > 1e15 |u|, up to the error of the computed S."""
     if x == 0 and sol.gamma < 0:
-        assert point[0] is ZeroDivisionError  # x^gamma
+        message = f"series with gamma = {sol.gamma!r} < 0 is undefined at x = 0"
+        assert point == (ValueError, message)
         return
     u, size, allowed, largest = _lattice_sums(sol, x)
     if point[0] is OverflowError:
@@ -805,10 +809,13 @@ def _cancellation_case(draw):
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(case=st.one_of(_general_case(), _cancellation_case()))
+# (1 - y)^2 with y = x^0.5: the largest y, at x = 4, is well conditioned,
+# while the sum at x = 1 is an exact zero of nonzero terms and warns
+@example(case=(_lattice_solution(0.5, 0.5, [1.0, -2.0, 1.0]), [4.0, 1.0, 0.25]))
 def test_evaluate_matches_list_evaluate(case):
     sol, xs = case
     outcome = _outcome(evaluate, sol, xs)
-    if any(x < 0 for x in xs):
+    if any(x < 0 or x == 0 and sol.gamma < 0 for x in xs):
         assert outcome == _outcome(_list_evaluate, sol, xs)
         return
     points = [_outcome(evaluate, sol, [x]) for x in xs]
@@ -820,6 +827,53 @@ def test_evaluate_matches_list_evaluate(case):
         assert outcome == failed[0]
     else:
         assert outcome == ([v for (v,), _ in points], int(any(w for _, w in points)))
+
+
+def _counting_horner(monkeypatch):
+    calls = []
+
+    def counted(coeffs_top_first, y):
+        calls.append(y)
+        return horner(coeffs_top_first, y)
+
+    horner = series._horner
+    monkeypatch.setattr(series, "_horner", counted)
+    return calls
+
+
+def test_evaluate_sums_sizes_once_per_grid(monkeypatch):
+    # example 1 on dense-grid's domain: the size bound at the largest y
+    # clears every point, so S is summed once, not once per point
+    eq = example1()
+    sol = build_coefficients(eq, _valid_gamma(eq), compute_step(eq), x_max=3.0)
+    xs = [0.003 + i * (3.0 - 0.003) / 999 for i in range(1000)]
+    calls = _counting_horner(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        us = evaluate(sol, xs)
+    assert len(calls) == len(xs) + 1
+    monkeypatch.undo()
+    assert us == [evaluate(sol, [x])[0] for x in xs]
+
+
+def test_evaluate_sums_size_again_only_where_the_bound_fails(monkeypatch):
+    # exp(-x) to 120 terms: S / |u| = e^(2x) passes 1e15 only at x = 18,
+    # and the bound e^18 clears 1e15 e^(-x) at every other point
+    sol = _lattice_solution(0.0, 1.0, _alternating(1.0, 1.0, 120))
+    xs = [0.5, 1.0, 2.0, 18.0, 4.0, 8.0, 16.0]
+    calls = _counting_horner(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evaluate(sol, xs)
+    assert len(calls) == len(xs) + 2
+    assert [w.category for w in caught] == [CancellationWarning]
+
+
+def test_evaluate_rejects_zero_for_negative_gamma():
+    sol = _lattice_solution(-0.5, 0.5, [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^series with gamma = -0\.5 < 0 is undefined at x = 0$"):
+        evaluate(sol, [1.0, 0.0])
+    assert evaluate(_lattice_solution(0.0, 0.5, [1.0, 2.0]), [0.0]) == [1.0]
 
 
 # -- fractional power rule ----------------------------------------------------
