@@ -6,7 +6,8 @@ The leading exponent gamma of a series solution must satisfy
 
 G is continuous on gamma > -1 (1/Gamma is entire), so roots are located by
 bracketing sign changes between neighbouring points of a uniform fine grid
-(10^4 steps) and refining by bisection.  G is computed on the fine grid only
+(10^4 steps) and refining by bisection down to two neighbouring floats, so a
+scanned root is exact to G's rounding.  G is computed on the fine grid only
 where a bracket can be: a coarse pass samples every 16th fine point and keeps
 the cells whose end values differ in sign or touch 0.0, the two cells around
 each turn of the coarse differences (an extremum can hide two roots in a cell
@@ -57,12 +58,10 @@ __all__ = [
     "screen_collisions",
     "caputo_integer_exponents",
     "GRID_POINTS",
-    "REFINE_TOL",
     "TAU_COLLISION",
 ]
 
 GRID_POINTS = 10_000
-REFINE_TOL = 1e-10
 TAU_COLLISION = 1e-6
 
 # grid samples inspected when deciding whether G is already monotone positive
@@ -170,12 +169,13 @@ def _analytic_family(eq: QuasiBesselEquation) -> List[CharacteristicRoot]:
 
 
 def _bisect(eq: QuasiBesselEquation, lo: float, hi: float, f_lo: float) -> float:
-    while hi - lo > REFINE_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # lo and hi are neighbouring floats: above ~4.5e5 their spacing
-            # exceeds REFINE_TOL, so the width test alone would never stop
-            break
+    # the one stop rule: halve until no float lies strictly between lo and
+    # hi, and return the end the midpoint rounds to, one of the neighbouring
+    # floats across which the computed G changes sign.  G sees gamma only
+    # through 1 + gamma, so its sign changes no closer to 0 than ~1e-16 and a
+    # fine cell takes at most about 100 halvings
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         f_mid = characteristic_value(eq, mid)
         if f_mid == 0.0:
             return mid
@@ -183,7 +183,8 @@ def _bisect(eq: QuasiBesselEquation, lo: float, hi: float, f_lo: float) -> float
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _default_search_hi(eq: QuasiBesselEquation) -> float:
@@ -251,8 +252,8 @@ def _scan_roots(
     steps, with floor = -1 + TAU_POLE; one more sample at -1 + 2*TAU_POLE,
     just above the pole at -1, covers the first cell (G is continuous on
     (-1, inf)).  Sign changes between neighbouring fine points are
-    bracketed and bisected to within REFINE_TOL, but G is computed on the
-    fine grid only where a bracket can be:
+    bracketed and bisected until the bracket is two neighbouring floats,
+    but G is computed on the fine grid only where a bracket can be:
 
     - G is first computed on every ``_COARSE``-th fine point and the last
       one.  A coarse cell is kept when its end values differ in sign or one

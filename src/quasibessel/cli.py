@@ -30,7 +30,6 @@ line to stderr, or one per fatal issue when validation fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -213,10 +212,10 @@ def _options(
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+    # every field is a number, an integer, a status word or empty, so none
+    # needs quoting
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _oracle_check(
@@ -458,18 +457,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     solve.add_argument("--max-terms", type=int, default=None, help="override the truncation cap")
     solve.add_argument("--eps-tail", type=float, default=None, help="override the tail tolerance")
-    args = parser.parse_args(argv)
-    if args.command == "solve":
-        return solve_command(
-            args.spec,
-            args.output_dir,
-            root_index=args.root,
-            oracle=args.oracle,
-            max_terms=args.max_terms,
-            eps_tail=args.eps_tail,
-        )
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = parser.parse_args(argv)  # "solve" is the one, required, subcommand
+    return solve_command(
+        args.spec,
+        args.output_dir,
+        root_index=args.root,
+        oracle=args.oracle,
+        max_terms=args.max_terms,
+        eps_tail=args.eps_tail,
+    )
 
 
 def entrypoint() -> None:

@@ -25,12 +25,10 @@ __all__ = [
 ]
 
 # Absolute distance to the nearest nonpositive integer below which an
-# argument is treated as a pole.  Root locations are only known to ~1e-10,
-# so 1e-9 separates true poles from near misses.
+# argument is treated as a pole.  Arguments such as 1 + gamma + r - p are
+# formed in float arithmetic, so one that is a pole in exact arithmetic
+# lands a few ulp off the integer; 1e-9 stays far above that rounding.
 TAU_POLE = 1e-9
-
-# Largest integer p for which the falling-factorial fast path is attempted.
-_MAX_PRODUCT_P = 128
 
 
 class GammaPoleError(ValueError):
@@ -81,11 +79,8 @@ def gamma_ratio(gamma: float, r: float, p: float) -> float:
     if den_sign == 0:
         return 0.0
     k = round(p)
-    if (
-        abs(p - k) < TAU_POLE
-        and 0 <= k <= _MAX_PRODUCT_P
-        and k * math.log10(abs(x) + k + 2.0) < 280.0
-    ):
+    # the size guard keeps the product finite and admits only k <= 131
+    if abs(p - k) < TAU_POLE and k >= 0 and k * math.log10(abs(x) + k + 2.0) < 280.0:
         prod = 1.0
         for j in range(1, k + 1):
             prod *= x - j

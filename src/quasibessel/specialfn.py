@@ -52,7 +52,7 @@ def mittag_leffler(alpha: float, z: float, n_terms: int = 60) -> float:
         if z == 0.0:
             break
         log_term = n * math.log(abs(z)) - math.lgamma(1.0 + alpha * n)
-        term = math.exp(log_term) if log_term > -745.0 else 0.0
+        term = math.exp(log_term)
         if z < 0 and n % 2 == 1:
             term = -term
         total += term
@@ -62,8 +62,8 @@ def mittag_leffler(alpha: float, z: float, n_terms: int = 60) -> float:
 def _kilbas_saigo_terms(
     params: KilbasSaigoParams, n_terms: int
 ) -> List[Tuple[float, int, float]]:
-    """(c_k, sign, log|c_k|) for k = 0..N; c_k is 0.0 below e^-745 and the
-    sign is 0 for a zero coefficient.
+    """(c_k, sign, log|c_k|) for k = 0..N; c_k underflows to 0.0 below about
+    e^-745, and the sign is 0 for a coefficient a pole has zeroed.
 
     A Gamma pole in a numerator factor is an error; a pole in a denominator
     factor terminates the series (all later coefficients are zero).
@@ -88,13 +88,13 @@ def _kilbas_saigo_terms(
             continue
         log_c += num_log - den_log
         sign *= num_sign * den_sign
-        terms.append((sign * math.exp(log_c) if log_c > -745.0 else 0.0, sign, log_c))
+        terms.append((sign * math.exp(log_c), sign, log_c))
     return terms
 
 
 def kilbas_saigo_coefficients(params: KilbasSaigoParams, n_terms: int) -> List[float]:
-    """Coefficients c_0..c_N of the Kilbas-Saigo series; one below e^-745
-    is 0.0.
+    """Coefficients c_0..c_N of the Kilbas-Saigo series; one below about
+    e^-745 underflows to 0.0.
 
     A Gamma pole in a numerator factor is an error; a pole in a denominator
     factor terminates the series (all later coefficients are zero).

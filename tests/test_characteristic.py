@@ -149,8 +149,8 @@ def test_find_roots_warns_when_doubling_budget_runs_out():
 
 def test_find_roots_terminates_on_root_above_float_resolution():
     # the root near 1.056e6 sits where neighbouring floats are 1.16e-10 apart,
-    # more than REFINE_TOL, so bisection must stop on the float spacing; run
-    # in a child process so that a regression fails instead of hanging
+    # so bisection can only stop on the float spacing; run in a child process
+    # so that a regression fails instead of hanging
     code = (
         "import json\n"
         "from quasibessel import QuasiBesselEquation, Term, find_roots\n"
@@ -176,6 +176,43 @@ def test_find_roots_terminates_on_root_above_float_resolution():
         ((gamma_hex, status),) = json.loads(line)
         assert status == "valid"
         assert abs(float.fromhex(gamma_hex) - ref) <= 1e-6 * ref
+
+
+@pytest.mark.parametrize(
+    "eq",
+    [
+        example1(2.0),
+        example1(3.5),
+        QuasiBesselEquation(
+            terms=(Term(1.0, 1.7), Term(-1.5, 1.2), Term(0.8, 0.5)),
+            beta="1",
+            nu_squared=0.49,
+            kind=RL,
+        ),
+        QuasiBesselEquation(terms=(Term(1.99, 0.126),), beta="1", nu_squared=3.38**2, kind=RL),
+    ],
+    ids=["example1-nu2", "example1-nu3.5", "rl-three-pure-terms", "root-near-1e6"],
+)
+def test_scanned_roots_end_on_neighbouring_floats(eq):
+    # bisection runs until its bracket is two neighbouring floats, so each
+    # root is an exact zero of the computed G or sits next to its sign change
+    roots = find_roots(eq)
+    assert roots
+    for root in roots:
+        g = root.gamma
+        f = characteristic_value(eq, g)
+        if f == 0.0:
+            continue
+        neighbours = (math.nextafter(g, -math.inf), math.nextafter(g, math.inf))
+        assert any((f < 0) != (characteristic_value(eq, h) < 0) for h in neighbours), g
+
+
+def test_scanned_root_matches_50_digit_root():
+    eq = example1(2.0)
+    (root,) = [r for r in find_roots(eq) if r.is_valid]
+    with mp.workdps(50):
+        ref = mp.findroot(lambda g: 1.5 * mp.gamma(1 + g) / mp.gamma(g - 0.5) - 4, ROOT_NU2)
+    assert abs(root.gamma - float(ref)) <= 1e-13 * abs(root.gamma)
 
 
 def test_find_roots_analytic_family_rl():
