@@ -25,12 +25,24 @@ x^(gamma+s(n+n_pi)) and x^(gamma+s(n+n_beta)), lies on the series lattice,
 so the residual is folded onto integer lattice slots and evaluated as one
 more coefficient vector.
 
+The recursion's Gamma ratios are kept with the series it returns, and the
+residual reads them from there: it computes only those the recursion never
+reached.
+
 Evaluation and residual sum the same way: by Horner's rule in y = x^s on
 the integer lattice indices, scaled by x^gamma, with two pow calls per point
 and no float exponent.  evaluate sums the coefficients c_n, residual its
-folded slots F_m.  evaluate's size sum_n |c_n| x^(gamma+s*n) is summed once
-per grid, at the largest y, as a bound for every point, and summed again only
-at a point where that bound leaves the overflow or cancellation test open.
+folded slots F_m, and each point sums only the terms it needs: the top terms
+are left out while together they add at most 2^-7 eps x^gamma times a floor,
+|c_0| for evaluate (|c_0| x^gamma <= S, the size its bound is stated in) and
+sum |slot-0 contributions| for residual (a share of its rounding floor), so
+each stated error bound grows by 2^-7 eps of the quantity it is written in.
+One table per grid, the Horner partials U_M = sum_(n>=M) |a_n| y_max^(n-M)
+at the largest y, bounds the dropped terms by y^M U_M at every y <= y_max,
+so a point's degree costs one bisection on y.  The table's last partial,
+sum_n |c_n| y_max^n, times x^gamma bounds evaluate's size
+S = sum_n |c_n| x^(gamma+s*n) at every point; S is summed again only at a
+point where that bound leaves the overflow or cancellation test open.
 """
 
 from __future__ import annotations
@@ -38,9 +50,10 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
 from .gammafn import TAU_POLE, gamma_ratio
@@ -70,6 +83,11 @@ MAX_TERMS = 2000
 _TAU_DENOM_SCALE = 1e-8
 # a coefficient beyond this magnitude means the series is blowing up
 _BLOWUP_LIMIT = 1e280
+# a point's Horner degree is one of every 16th, so a grid's table of
+# degrees costs one log per 16 terms
+_CUT_STRIDE = 16
+# log of the share of eps times its floor that a point's dropped terms may reach
+_LOG_CUT = math.log(2.0**-7 * sys.float_info.epsilon)
 
 
 class DenominatorPoleError(ArithmeticError):
@@ -132,6 +150,9 @@ class SeriesSolution:
     coefficients: List[float]
     c0: float
     truncation: Truncation
+    # the power rule's values by (kind, alpha, gamma, s) and lattice index n,
+    # as the recursion made them: residual reads them instead of recomputing
+    ratios: Dict[tuple, Dict[int, float]] = field(default_factory=dict, repr=False, compare=False)
 
     def exponent(self, n: int) -> float:
         return self.gamma + self.s * n
@@ -207,7 +228,8 @@ def build_coefficients(
         raise ValueError(f"x_max must be positive, got {x_max}")
     s = plan.step_value
     tau_denom = _TAU_DENOM_SCALE * (1.0 + eq.nu_squared)
-    rules = [(t.d, _power_rule(eq.kind, t.alpha, gamma)) for t in eq.terms]
+    ratios: Dict[tuple, Dict[int, float]] = {}
+    rules = [(t.d, _power_rule(eq.kind, t.alpha, gamma, s, ratios)) for t in eq.terms]
     pure = [rules[i] for i in eq.pure_indices]
     shifted = [rules[i] + (plan.n_p[i],) for i in eq.shifted_indices]
 
@@ -226,11 +248,11 @@ def build_coefficients(
         for d, rule, shift in shifted:
             k = n - shift
             if k >= 0 and unit[k] != 0.0:
-                num += unit[k] * d * rule(k * s)
+                num += unit[k] * d * rule(k)
         d_n = -eq.nu_squared
         try:
             for d, rule in pure:
-                d_n += d * rule(n * s)
+                d_n += d * rule(n)
         except DerivativeUndefinedError:
             if num != 0.0:
                 raise
@@ -262,16 +284,53 @@ def build_coefficients(
         coefficients=[c0 * u for u in unit],
         c0=c0,
         truncation=Truncation(terms_used=len(unit) - 1, tail_estimate=tail, converged=converged),
+        ratios=ratios,
     )
 
 
-def _horner(coeffs_top_first: Sequence[float], y: float) -> float:
+def _horner(coeffs_top_first: Iterable[float], y: float) -> float:
     """sum_m a_m y^m by Horner's rule, the coefficients given from a_M down
     to a_0."""
     acc = 0.0
     for a in coeffs_top_first:
         acc = acc * y + a
     return acc
+
+
+def _cut(
+    coeffs_top_first: Sequence[float], ys: Sequence[float], floor: float
+) -> Tuple[float, List[Sequence[float]]]:
+    """The terms Horner's rule needs at each y of a grid, a_N..a_0 given top
+    first: those below a degree M whose dropped tail sum_(n>=M) |a_n| y^n is
+    at most 2^-7 eps floor.
+
+    With the partials U_M = sum_(n>=M) |a_n| y_max^(n-M) at the largest y,
+    that tail is at most y^M U_M for every y <= y_max, so degree M serves
+    every y up to (2^-7 eps floor / U_M)^(1/M).  M runs over every 16th
+    degree below N + 1.  A suffix minimum makes those limits nondecreasing,
+    so each y takes, by one bisection, the lowest degree that serves it
+    together with every listed degree above; a partial that is zero or not
+    finite leaves its degree and every lower one out.  Returns U_0, which
+    is Horner's rule on |a_n| at y_max, and each y's coefficients.
+    """
+    y_max = max(ys, default=0.0)
+    acc = 0.0
+    partials = [acc := acc * y_max + abs(a) for a in coeffs_top_first]  # U_N .. U_0
+    n_top = len(partials) - 1
+    degrees, limits = [n_top + 1], [math.inf]  # from the top down
+    if 0.0 < floor < math.inf:
+        log_target = math.log(floor) + _LOG_CUT
+        for m in range(n_top - n_top % _CUT_STRIDE, 0, -_CUT_STRIDE):
+            u = partials[n_top - m]
+            if not 0.0 < u < math.inf:
+                break
+            degrees.append(m)
+            limits.append(min(limits[-1], math.exp((log_target - math.log(u)) / m)))
+    degrees.reverse()
+    limits.reverse()
+    picks = [bisect_left(limits, y) for y in ys]
+    heads = {j: coeffs_top_first[n_top + 1 - degrees[j]:] for j in set(picks)}
+    return (partials[-1] if partials else 0.0), [heads[j] for j in picks]
 
 
 def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
@@ -288,42 +347,49 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     OverflowError, as x**gamma or x**s does when that power alone
     overflows; both name the first such x of the grid.
 
+    Each x sums only the terms below a degree M whose dropped terms add at
+    most 2^-7 eps |c_0| x^gamma, and |c_0| x^gamma <= S: the bound becomes
+    (2(N+1) + 2^-7) eps S.  M is one of every 16th degree, chosen from one
+    table per grid at the grid's largest y, so a one-point call may keep
+    a different number of terms than the grid call.
+
     When S exceeds 1e15 |u| the digits are gone to cancellation; a
     CancellationWarning is issued once per call and no compensation is
     attempted.  S is at most N+1 times the largest term, and is the quantity
     the error bound is stated in.  A sum of exactly zero warns when S is not.
 
-    S is summed once per grid, at the largest y, and x^gamma times that sum
-    bounds the computed S at every x, since Horner on |c_n| rounds each
-    multiply and add monotonically; S itself is summed only at an x where the
-    bound is not finite or exceeds 1e15 |u|.
+    The table's last partial, sum_n |c_n| y^n at the largest y, times
+    x^gamma bounds the computed S at every x, since Horner on |c_n| rounds
+    each multiply and add monotonically; S itself is summed, over every
+    term, only at an x where the bound is not finite or exceeds 1e15 |u|.
     """
     for x in xs:
-        if x < 0:
+        if not x >= 0:
             raise ValueError(f"series is defined for x >= 0, got {x}")
         if x == 0 and sol.gamma < 0:
             raise ValueError(f"series with gamma = {sol.gamma!r} < 0 is undefined at x = 0")
     cs = sol.coefficients[::-1]  # c_N first
-    sizes = [abs(c) for c in cs]
     powers = []
     for x in xs:
         try:
             powers.append((x**sol.s, x**sol.gamma))
         except OverflowError:
             powers.append(None)  # raised in grid order below
-    bound = _horner(sizes, max((p[0] for p in powers if p), default=0.0))
+    # a point that raises takes y = 0, which leaves the table's y_max alone
+    floor = abs(sol.coefficients[0]) if cs else 0.0
+    bound, heads = _cut(cs, [p[0] if p else 0.0 for p in powers], floor)
     out = []
     lost = False
-    for x, p in zip(xs, powers):
+    for x, p, head in zip(xs, powers, heads):
         if p is None:
             raise OverflowError(f"series overflows at x = {x!r}")
         y, scale = p
-        total = scale * _horner(cs, y)
+        total = scale * _horner(head, y)
         # fails on a bound that is not finite, since inf > float max
         if not scale * bound <= min(1e15 * abs(total), sys.float_info.max):
-            size = scale * _horner(sizes, y)
-            # rounding is monotone, so |total| <= size at every step: when
-            # size is finite, so is total
+            size = scale * _horner(map(abs, cs), y)
+            # rounding is monotone and total sums fewer terms, so
+            # |total| <= size: when size is finite, so is total
             if not math.isfinite(size):
                 raise OverflowError(f"series overflows at x = {x!r}")
             lost = lost or size > 1e15 * abs(total)
@@ -338,18 +404,29 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     return out
 
 
-def _power_rule(kind: DerivativeKind, alpha: float, gamma: float) -> Callable[[float], float]:
-    """frac_derivative_power at gamma + r as a function of r, ceil(alpha) taken once."""
+def _power_rule(
+    kind: DerivativeKind, alpha: float, gamma: float, s: float, memo: Dict[tuple, Dict[int, float]]
+) -> Callable[[int], float]:
+    """frac_derivative_power at gamma + n*s as a function of the lattice
+    index n, ceil(alpha) taken once.  Each value is kept in
+    memo[(kind, alpha, gamma, s)][n] and read from there when asked again."""
     caputo = kind is DerivativeKind.CAPUTO and not is_integer_order(alpha)
     floor = ceil_order(alpha) - 1 + TAU_POLE if caputo else -1.0
+    known = memo.setdefault((kind, alpha, gamma, s), {})
 
-    def rule(r: float) -> float:
-        q = gamma + r
-        if q > floor:
-            return gamma_ratio(gamma, r, alpha)
-        if caputo and round(q) >= 0 and abs(q - round(q)) < TAU_POLE:
-            return 0.0
-        raise DerivativeUndefinedError(f"{kind.value} D^{alpha} of x^{q} is undefined")
+    def rule(n: int) -> float:
+        value = known.get(n)
+        if value is None:
+            r = n * s
+            q = gamma + r
+            if q > floor:
+                value = gamma_ratio(gamma, r, alpha)
+            elif caputo and round(q) >= 0 and abs(q - round(q)) < TAU_POLE:
+                value = 0.0
+            else:
+                raise DerivativeUndefinedError(f"{kind.value} D^{alpha} of x^{q} is undefined")
+            known[n] = value
+        return value
 
     return rule
 
@@ -367,7 +444,26 @@ def frac_derivative_power(kind: DerivativeKind, alpha: float, exponent: float) -
     2.4), so Caputo takes the Riemann-Liouville rule: D^n x^q =
     q(q-1)...(q-n+1) x^(q-n) for q > -1, zero at q = 0..n-1.
     """
-    return _power_rule(kind, alpha, exponent)(0.0)
+    return _power_rule(kind, alpha, exponent, 0.0, {})(0)
+
+
+def _fold(eq: QuasiBesselEquation, sol: SeriesSolution) -> Tuple[List[float], float]:
+    """The residual's slots F_M, ..., F_0 (top first), each summed exactly
+    rounded, and the sum of the absolute values summed into F_0."""
+    plan = compute_step(eq)
+    shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
+    rules = [(t.d, _power_rule(eq.kind, t.alpha, sol.gamma, sol.s, sol.ratios)) for t in eq.terms]
+    slots: List[List[float]] = [
+        [] for _ in range(len(sol.coefficients) + max(shifts + [plan.n_beta]))
+    ]
+    for n, c in enumerate(sol.coefficients):
+        if c == 0.0:
+            continue
+        for (d, rule), shift in zip(rules, shifts):
+            slots[n + shift].append(d * c * rule(n))
+        slots[n + plan.n_beta].append(c)
+        slots[n].append(-eq.nu_squared * c)
+    return [math.fsum(slot) for slot in reversed(slots)], math.fsum(map(abs, slots[0]))
 
 
 def residual(
@@ -381,7 +477,9 @@ def residual(
     Every series term is differentiated with the recursion's own power rule
     and arguments, and every power the equation produces lies on the lattice:
     term i maps c_n x^(gamma+s*n) into slot n + n_p[i] (n_p = 0 for pure
-    Bessel terms), x^beta into slot n + n_beta and -nu^2 into slot n.  Each
+    Bessel terms), x^beta into slot n + n_beta and -nu^2 into slot n.  The
+    derivatives are the recursion's own values where it made them (kept in
+    ``sol.ratios``), so only those it never reached are computed here.  Each
     slot is summed exactly rounded with math.fsum, so the result is the
     genuine defect of the truncated series up to rounding: slots up to the
     truncation point hold the recursion's arithmetic rounding, not its Gamma
@@ -392,30 +490,28 @@ def residual(
     the rounding of y amplified m-fold in y^m, the error is at most about
     3M eps sum_m |F_m| x^(gamma+s*m) (Higham 2002, section 5.1): M eps
     relative to a quantity that is itself the residual's rounding level.
-    A result that is not finite raises OverflowError, as x**gamma or x**s
-    does; both name x.
+    Each x sums only the slots below a degree whose dropped slots add at
+    most 2^-7 eps x^gamma sum |slot-0 contributions|, a 2^-7 share of the
+    rounding floor eps sum_k |contribution_k| x^(gamma+s*slot_k); that share
+    adds to the bound.  The degree comes from one table per grid at the
+    largest y, as in evaluate.  A result that is not finite raises
+    OverflowError, as x**gamma or x**s does; both name x.
     """
-    plan = compute_step(eq)
-    shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
-    rules = [(t.d, _power_rule(eq.kind, t.alpha, sol.gamma)) for t in eq.terms]
-    slots: List[List[float]] = [
-        [] for _ in range(len(sol.coefficients) + max(shifts + [plan.n_beta]))
-    ]
-    for n, c in enumerate(sol.coefficients):
-        if c == 0.0:
-            continue
-        for (d, rule), shift in zip(rules, shifts):
-            slots[n + shift].append(d * c * rule(n * sol.s))
-        slots[n + plan.n_beta].append(c)
-        slots[n].append(-eq.nu_squared * c)
+    folded, floor = _fold(eq, sol)
     for x in xs:
-        if x <= 0:
+        if not x > 0:
             raise ValueError(f"residual is defined for x > 0, got {x}")
-    folded = [math.fsum(slot) for slot in reversed(slots)]  # F_M first
-    out = []
+    ys = []
     for x in xs:
         try:
-            r = x**sol.gamma * _horner(folded, x**sol.s)
+            ys.append(x**sol.s)
+        except OverflowError:
+            ys.append(math.inf)  # no cut anywhere; raised in grid order below
+    _, heads = _cut(folded, ys, floor)
+    out = []
+    for x, y, head in zip(xs, ys, heads):
+        try:
+            r = x**sol.gamma * _horner(head, y)
         except OverflowError:
             r = math.inf
         if not math.isfinite(r):

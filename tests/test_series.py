@@ -813,6 +813,8 @@ def _cancellation_case(draw):
 # while the sum at x = 1 is an exact zero of nonzero terms and warns
 @example(case=(_lattice_solution(0.5, 0.5, [1.0, -2.0, 1.0]), [4.0, 1.0, 0.25]))
 def test_evaluate_matches_list_evaluate(case):
+    # at most 14 coefficients, below the first degree a point can stop at
+    # (16): the grid call and the one-point calls sum the same terms
     sol, xs = case
     outcome = _outcome(evaluate, sol, xs)
     if any(x < 0 or x == 0 and sol.gamma < 0 for x in xs):
@@ -830,11 +832,12 @@ def test_evaluate_matches_list_evaluate(case):
 
 
 def _counting_horner(monkeypatch):
-    calls = []
+    calls = []  # the number of coefficients of each call
 
     def counted(coeffs_top_first, y):
-        calls.append(y)
-        return horner(coeffs_top_first, y)
+        coeffs = list(coeffs_top_first)
+        calls.append(len(coeffs))
+        return horner(coeffs, y)
 
     horner = series._horner
     monkeypatch.setattr(series, "_horner", counted)
@@ -843,7 +846,8 @@ def _counting_horner(monkeypatch):
 
 def test_evaluate_sums_sizes_once_per_grid(monkeypatch):
     # example 1 on dense-grid's domain: the size bound at the largest y
-    # clears every point, so S is summed once, not once per point
+    # clears every point, so S is never summed at a point; the bound is the
+    # last Horner partial of the grid's cut table, not a pass of its own
     eq = example1()
     sol = build_coefficients(eq, _valid_gamma(eq), compute_step(eq), x_max=3.0)
     xs = [0.003 + i * (3.0 - 0.003) / 999 for i in range(1000)]
@@ -851,21 +855,22 @@ def test_evaluate_sums_sizes_once_per_grid(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         us = evaluate(sol, xs)
-    assert len(calls) == len(xs) + 1
+    assert len(calls) == len(xs)
     monkeypatch.undo()
     assert us == [evaluate(sol, [x])[0] for x in xs]
 
 
 def test_evaluate_sums_size_again_only_where_the_bound_fails(monkeypatch):
     # exp(-x) to 120 terms: S / |u| = e^(2x) passes 1e15 only at x = 18,
-    # and the bound e^18 clears 1e15 e^(-x) at every other point
+    # and the bound e^18 clears 1e15 e^(-x) at every other point: one sum
+    # per point and S once more at x = 18
     sol = _lattice_solution(0.0, 1.0, _alternating(1.0, 1.0, 120))
     xs = [0.5, 1.0, 2.0, 18.0, 4.0, 8.0, 16.0]
     calls = _counting_horner(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         evaluate(sol, xs)
-    assert len(calls) == len(xs) + 2
+    assert len(calls) == len(xs) + 1
     assert [w.category for w in caught] == [CancellationWarning]
 
 
@@ -874,6 +879,81 @@ def test_evaluate_rejects_zero_for_negative_gamma():
     with pytest.raises(ValueError, match=r"^series with gamma = -0\.5 < 0 is undefined at x = 0$"):
         evaluate(sol, [1.0, 0.0])
     assert evaluate(_lattice_solution(0.0, 0.5, [1.0, 2.0]), [0.0]) == [1.0]
+
+
+def test_evaluate_rejects_nan():
+    sol = _lattice_solution(0.0, 0.5, [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^series is defined for x >= 0, got nan$"):
+        evaluate(sol, [1.0, math.nan])
+
+
+def _dyadic_sums(coefficients, y, scale):
+    """scale * sum_n c_n y^n and scale * sum_n |c_n| y^n, exactly, at the
+    floats y and scale: every float is an integer over a power of two."""
+    ny, dy = y.as_integer_ratio()
+    top = (dy.bit_length() - 1) * len(coefficients) + 1075  # a common denominator exponent
+    total = size = 0
+    for n, c in enumerate(coefficients):
+        nc, dc = c.as_integer_ratio()
+        term = nc * ny**n << (top - (dc.bit_length() - 1) - (dy.bit_length() - 1) * n)
+        total, size = total + term, size + abs(term)
+    return (Fraction(scale) * Fraction(total, 1 << top),
+            Fraction(scale) * Fraction(size, 1 << top))
+
+
+@st.composite
+def _cut_series(draw):
+    n_top = draw(st.integers(0, 120))
+    s = draw(st.sampled_from((0.1, 0.25, 0.5, 1.0, 1.7)))
+    shape = draw(st.sampled_from(("alternating", "growing", "decaying", "random")))
+    if shape == "alternating":
+        cs = _alternating(draw(st.floats(0.1, 10.0)), s, n_top)
+    elif shape == "random":
+        mags = draw(st.lists(st.floats(-30.0, 30.0), min_size=n_top + 1, max_size=n_top + 1))
+        cs = [draw(st.sampled_from((1.0, -1.0))) * 10.0**m for m in mags]
+    else:
+        rate = draw(st.floats(0.01, 0.5)) * (1 if shape == "growing" else -3)
+        cs = [(-1.0) ** draw(st.integers(0, 1)) * 10.0 ** (rate * n) for n in range(n_top + 1)]
+    for _ in range(draw(st.integers(0, 3))):  # runs of zeros
+        start = draw(st.integers(0, n_top))
+        run = slice(start, start + draw(st.integers(1, 20)))
+        cs[run] = [0.0] * len(cs[run])
+    cs[0] = draw(st.sampled_from((cs[0], cs[0], 0.0, 5e-324, -3e-310)))
+    sol = _lattice_solution(draw(st.floats(-1.0, 3.0)), s, cs)
+    return sol, draw(st.lists(st.floats(1e-3, 6.0), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=_cut_series())
+# decaying terms over a wide grid: the small x keep a fraction of the terms
+@example(case=(_lattice_solution(0.5, 0.25, _alternating(2.0, 0.25, 120)), [0.001, 0.1, 6.0]))
+def test_evaluate_cut_within_bound_of_exact_sum(case):
+    # Horner's error at the float y, (2(N+1) + 2^-7) eps S with the cut,
+    # plus half the smallest subnormal per rounding, grown by x^gamma y^n
+    sol, xs = case
+    n_top = len(sol.coefficients) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CancellationWarning)
+        us = evaluate(sol, xs)
+    for x, u in zip(xs, us):
+        y, scale = x**sol.s, x**sol.gamma
+        exact, size = _dyadic_sums(sol.coefficients, y, scale)
+        underflow = _TINY * ((n_top + 2) * scale * max(1.0, y) ** n_top + 1)
+        assert abs(Fraction(u) - exact) <= (2 * (n_top + 1) + 2.0**-7) * _EPS * size + Fraction(underflow)
+
+
+def test_evaluate_and_residual_sum_only_the_terms_each_point_needs(monkeypatch):
+    # example 1 on dense-grid's domain: most points stop well below the top
+    eq = example1()
+    sol = build_coefficients(eq, _valid_gamma(eq), compute_step(eq), x_max=3.0)
+    xs = [0.003 + i * (3.0 - 0.003) / 999 for i in range(1000)]
+    folded, _ = series._fold(eq, sol)
+    lengths = _counting_horner(monkeypatch)
+    evaluate(sol, xs)
+    assert sum(lengths) <= 0.70 * len(sol.coefficients) * len(xs)
+    lengths.clear()
+    residual(eq, sol, xs)
+    assert sum(lengths) <= 0.45 * len(folded) * len(xs)
 
 
 # -- fractional power rule ----------------------------------------------------
@@ -995,6 +1075,56 @@ def test_residual_overflow_raises():
     sol = build_coefficients(eq, _valid_gamma(eq), compute_step(eq), n_terms=5)
     with pytest.raises(OverflowError, match=r"residual overflows at x = 1e\+300$"):
         residual(eq, sol, [1.0, 1e300])
+    # x**s itself overflows at x = 1e300 with s = 1.2, x**gamma does not
+    eq = example4(2.0)
+    sol = build_coefficients(eq, -0.5, compute_step(eq), n_terms=10)
+    with pytest.raises(OverflowError, match=r"residual overflows at x = 1e\+300$"):
+        residual(eq, sol, [1.0, 1e300])
+    with pytest.raises(OverflowError, match=r"series overflows at x = 1e\+300$"):
+        evaluate(sol, [1.0, 1e300])
+
+
+def test_residual_rejects_nan():
+    eq = example2()
+    sol = build_coefficients(eq, 0.0, compute_step(eq), n_terms=5)
+    with pytest.raises(ValueError, match=r"^residual is defined for x > 0, got nan$"):
+        residual(eq, sol, [1.0, math.nan])
+
+
+def test_residual_takes_the_recursions_gamma_ratios(monkeypatch):
+    # the residual computes a ratio only at an index the recursion never
+    # reached: n = 0 of a pure term, and the top `shift` indices of a
+    # shifted one; its slots are bit-identical to those of a series that
+    # carries no ratios
+    eq = example1(2.0)
+    plan = compute_step(eq)
+    gamma = _valid_gamma(eq)
+    calls = []
+
+    def recorded(gamma, r, alpha):
+        calls.append((alpha, r))
+        return ratio(gamma, r, alpha)
+
+    ratio = series.gamma_ratio
+    monkeypatch.setattr(series, "gamma_ratio", recorded)
+    sol = build_coefficients(eq, gamma, plan, x_max=3.0)
+    built = set(calls)
+    calls.clear()
+    xs = [0.1, 1.0, 2.3, 3.0]
+    res = residual(eq, sol, xs)
+    n_top = len(sol.coefficients) - 1
+    expected = []
+    for i, t in enumerate(eq.terms):
+        shift = plan.n_p.get(i, 0)
+        reached = range(1, n_top + 1) if shift == 0 else range(n_top - shift + 1)
+        expected += [(t.alpha, n * sol.s) for n, c in enumerate(sol.coefficients)
+                     if c != 0.0 and n not in reached]
+    assert sorted(calls) == sorted(expected)
+    assert not built & set(calls)
+    bare = SeriesSolution(gamma=sol.gamma, s=sol.s, coefficients=sol.coefficients, c0=sol.c0,
+                          truncation=sol.truncation)
+    assert series._fold(eq, bare) == series._fold(eq, sol)
+    assert residual(eq, bare, xs) == res
 
 
 # The residual as it was before the Horner sum, verbatim apart from the names
@@ -1035,7 +1165,7 @@ _BETAS = st.sampled_from([Fraction(1, 5), Fraction(1, 2), Fraction(2), Fraction(
 
 
 @st.composite
-def _series_and_points(draw):
+def _series_and_points(draw, max_terms=20):
     beta = draw(_BETAS)
     kind = draw(st.sampled_from((CAPUTO, RL)))
     n_terms = draw(st.integers(1, 3))
@@ -1057,7 +1187,8 @@ def _series_and_points(draw):
     floor = -1.0 if kind is RL else ceil_order(max(alphas)) - 1.0
     gamma = floor + draw(st.floats(0.05, 3.0))
     try:
-        sol = build_coefficients(eq, gamma, compute_step(eq), n_terms=draw(st.integers(1, 20)))
+        sol = build_coefficients(eq, gamma, compute_step(eq),
+                                 n_terms=draw(st.integers(1, max_terms)))
     except ArithmeticError:
         assume(False)
     below = st.floats(0.1, 0.95)
@@ -1078,6 +1209,25 @@ def test_residual_horner_within_bound_of_fsum_sum(case):
     for x, new, old in zip(xs, residual(eq, sol, xs), _fsum_residual(eq, sol, xs)):
         scale = math.fsum(abs(f) * x ** (sol.gamma + sol.s * m) for m, f in enumerate(folded))
         assert abs(new - old) <= 4 * m_top * eps * scale
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=_series_and_points(max_terms=150))
+def test_residual_cut_within_bound_of_exact_sum(case):
+    # Horner's error at the float y, 3 M eps sum_m |F_m| x^(gamma+s*m), plus
+    # the cut's 2^-7 eps x^gamma sum |slot-0 contributions|
+    eq, sol, xs = case
+    folded, floor = series._fold(eq, sol)
+    slots = folded[::-1]
+    m_top = len(slots) - 1
+    sums = {x: _dyadic_sums(slots, x**sol.s, x**sol.gamma) for x in xs}
+    xs = [x for x in xs if sums[x][1] < 1e300]  # a diverging series overflows
+    for x, r in zip(xs, residual(eq, sol, xs)):
+        y, scale = x**sol.s, x**sol.gamma
+        exact, size = sums[x]
+        allowed = 3 * m_top * _EPS * size + Fraction(2.0**-7 * _EPS * scale * floor)
+        underflow = _TINY * ((m_top + 2) * scale * max(1.0, y) ** m_top + 1)
+        assert abs(Fraction(r) - exact) <= allowed + Fraction(underflow)
 
 
 # -- initial-condition helper ---------------------------------------------------
