@@ -209,10 +209,6 @@ class ValidationReport:
         return tuple(i for i in self.issues if i.severity == FATAL)
 
     @property
-    def warning_issues(self) -> Tuple[ValidationIssue, ...]:
-        return tuple(i for i in self.issues if i.severity == WARNING)
-
-    @property
     def is_valid(self) -> bool:
         return not self.fatal_issues
 

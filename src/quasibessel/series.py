@@ -19,30 +19,29 @@ root of the characteristic equation (a root collision) and the series does
 not exist; that is reported as DenominatorPoleError rather than patched.
 
 The recursion takes each Q, and the residual check each derivative, from one
-power rule (frac_derivative_power), so any disagreement beyond the truncation
-tail is a bug, not discretisation error.  Every power the equation produces,
-x^(gamma+s(n+n_pi)) and x^(gamma+s(n+n_beta)), lies on the series lattice,
-so the residual is folded onto integer lattice slots and evaluated as one
-more coefficient vector.
+power rule, _power_rule at (gamma, n*s) for the lattice index n, with the
+Gamma arguments 1 + gamma + n*s and 1 + gamma + n*s - alpha; so any
+disagreement beyond the truncation tail is a bug, not discretisation error.
+Every power the equation produces, x^(gamma+s(n+n_pi)) and
+x^(gamma+s(n+n_beta)), lies on the series lattice, so the residual is folded
+onto integer lattice slots and evaluated as one more coefficient vector.
 
 The recursion's Gamma ratios are kept with the series it returns, and the
 residual reads them from there: it computes only those the recursion never
 reached.
 
-Evaluation and residual sum the same way: by Horner's rule in y = x^s on
-the integer lattice indices, scaled by x^gamma, with two pow calls per point
-and no float exponent.  evaluate sums the coefficients c_n, residual its
-folded slots F_m, and each point sums only the terms it needs: the top terms
-are left out while together they add at most 2^-7 eps x^gamma times a floor,
-|c_0| for evaluate (|c_0| x^gamma <= S, the size its bound is stated in) and
-sum |slot-0 contributions| for residual (a share of its rounding floor), so
-each stated error bound grows by 2^-7 eps of the quantity it is written in.
-One table per grid, the Horner partials U_M = sum_(n>=M) |a_n| y_max^(n-M)
-at the largest y, bounds the dropped terms by y^M U_M at every y <= y_max,
-so a point's degree costs one bisection on y.  The table's last partial,
-sum_n |c_n| y_max^n, times x^gamma bounds evaluate's size
-S = sum_n |c_n| x^(gamma+s*n) at every point; S is summed again only at a
-point where that bound leaves the overflow or cancellation test open.
+Evaluation and residual sum through one routine, _lattice_sums: Horner's
+rule in y = x^s on the integer lattice indices, scaled by x^gamma, with two
+pow calls per point and no float exponent.  evaluate sums the coefficients
+c_n, residual its folded slots F_m.  Each point sums only the terms it needs,
+by the cut rule stated in _lattice_sums, against a floor: |c_0| for evaluate
+(|c_0| x^gamma <= S, the size its bound is stated in) and sum |slot-0
+contributions| for residual (a share of its rounding floor), so each stated
+error bound grows by 2^-7 eps of the quantity it is written in.  The cut
+table's last partial, sum_n |c_n| y_max^n at the largest y, times x^gamma
+bounds evaluate's size S = sum_n |c_n| x^(gamma+s*n) at every point; S is
+summed again only at a point where that bound leaves the overflow or
+cancellation test open.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
 from .gammafn import TAU_POLE, gamma_ratio
@@ -297,22 +296,42 @@ def _horner(coeffs_top_first: Iterable[float], y: float) -> float:
     return acc
 
 
-def _cut(
-    coeffs_top_first: Sequence[float], ys: Sequence[float], floor: float
-) -> Tuple[float, List[Sequence[float]]]:
-    """The terms Horner's rule needs at each y of a grid, a_N..a_0 given top
-    first: those below a degree M whose dropped tail sum_(n>=M) |a_n| y^n is
-    at most 2^-7 eps floor.
+def _lattice_sums(
+    coeffs_top_first: Sequence[float], gamma: float, s: float, xs: Sequence[float],
+    floor: float, stage: str,
+) -> Tuple[float, Iterator[Tuple[float, float, float, float]]]:
+    """Sum a_0..a_N, given top first, on the lattice at every x of a grid:
+    x^gamma * P(y) with y = x^s and P(y) = sum_n a_n y^n by Horner's rule.
 
-    With the partials U_M = sum_(n>=M) |a_n| y_max^(n-M) at the largest y,
-    that tail is at most y^M U_M for every y <= y_max, so degree M serves
-    every y up to (2^-7 eps floor / U_M)^(1/M).  M runs over every 16th
-    degree below N + 1.  A suffix minimum makes those limits nondecreasing,
-    so each y takes, by one bisection, the lowest degree that serves it
-    together with every listed degree above; a partial that is zero or not
-    finite leaves its degree and every lower one out.  Returns U_0, which
-    is Horner's rule on |a_n| at y_max, and each y's coefficients.
+    Each point sums only the terms below a degree M whose dropped tail
+    sum_(n>=M) |a_n| y^n is at most 2^-7 eps floor.  With the partials
+    U_M = sum_(n>=M) |a_n| y_max^(n-M) at the largest y, that tail is at
+    most y^M U_M for every y <= y_max, so degree M serves every y up to
+    (2^-7 eps floor / U_M)^(1/M).  M runs over every 16th degree below
+    N + 1.  A suffix minimum makes those limits nondecreasing, so each y
+    takes, by one bisection, the lowest degree that serves it together with
+    every listed degree above; a partial that is zero or not finite leaves
+    its degree and every lower one out.  The table is built once per grid,
+    so a one-point call may keep a different number of terms than the grid
+    call.
+
+    x**s and x**gamma are formed once per point, up to the first x where
+    either overflows; that x and the points after it take no part in y_max.
+    Returns U_0, which is Horner's rule on |a_n| at y_max, and an iterator
+    that yields (x, y, x^gamma, x^gamma * P(y)) for the points before that
+    x, in grid order, and then raises OverflowError("<stage> overflows at
+    x = ...") naming it, so a caller's own test of each point runs first.
     """
+    ys, scales = [], []
+    bad = None
+    for x in xs:
+        try:
+            y, scale = x**s, x**gamma
+        except OverflowError:
+            bad = x
+            break
+        ys.append(y)
+        scales.append(scale)
     y_max = max(ys, default=0.0)
     acc = 0.0
     partials = [acc := acc * y_max + abs(a) for a in coeffs_top_first]  # U_N .. U_0
@@ -330,7 +349,14 @@ def _cut(
     limits.reverse()
     picks = [bisect_left(limits, y) for y in ys]
     heads = {j: coeffs_top_first[n_top + 1 - degrees[j]:] for j in set(picks)}
-    return (partials[-1] if partials else 0.0), [heads[j] for j in picks]
+    totals = [scale * _horner(heads[j], y) for y, scale, j in zip(ys, scales, picks)]
+
+    def sums() -> Iterator[Tuple[float, float, float, float]]:
+        yield from zip(xs, ys, scales, totals)
+        if bad is not None:
+            raise OverflowError(f"{stage} overflows at x = {bad!r}")
+
+    return (partials[-1] if partials else 0.0), sums()
 
 
 def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
@@ -347,18 +373,16 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     OverflowError, as x**gamma or x**s does when that power alone
     overflows; both name the first such x of the grid.
 
-    Each x sums only the terms below a degree M whose dropped terms add at
-    most 2^-7 eps |c_0| x^gamma, and |c_0| x^gamma <= S: the bound becomes
-    (2(N+1) + 2^-7) eps S.  M is one of every 16th degree, chosen from one
-    table per grid at the grid's largest y, so a one-point call may keep
-    a different number of terms than the grid call.
+    Each x sums only the terms that _lattice_sums keeps for the floor |c_0|:
+    the dropped terms add at most 2^-7 eps |c_0| x^gamma, and
+    |c_0| x^gamma <= S, so the bound becomes (2(N+1) + 2^-7) eps S.
 
     When S exceeds 1e15 |u| the digits are gone to cancellation; a
     CancellationWarning is issued once per call and no compensation is
     attempted.  S is at most N+1 times the largest term, and is the quantity
     the error bound is stated in.  A sum of exactly zero warns when S is not.
 
-    The table's last partial, sum_n |c_n| y^n at the largest y, times
+    The cut table's last partial, sum_n |c_n| y^n at the largest y, times
     x^gamma bounds the computed S at every x, since Horner on |c_n| rounds
     each multiply and add monotonically; S itself is summed, over every
     term, only at an x where the bound is not finite or exceeds 1e15 |u|.
@@ -369,22 +393,11 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
         if x == 0 and sol.gamma < 0:
             raise ValueError(f"series with gamma = {sol.gamma!r} < 0 is undefined at x = 0")
     cs = sol.coefficients[::-1]  # c_N first
-    powers = []
-    for x in xs:
-        try:
-            powers.append((x**sol.s, x**sol.gamma))
-        except OverflowError:
-            powers.append(None)  # raised in grid order below
-    # a point that raises takes y = 0, which leaves the table's y_max alone
     floor = abs(sol.coefficients[0]) if cs else 0.0
-    bound, heads = _cut(cs, [p[0] if p else 0.0 for p in powers], floor)
+    bound, sums = _lattice_sums(cs, sol.gamma, sol.s, xs, floor, "series")
     out = []
     lost = False
-    for x, p, head in zip(xs, powers, heads):
-        if p is None:
-            raise OverflowError(f"series overflows at x = {x!r}")
-        y, scale = p
-        total = scale * _horner(head, y)
+    for x, y, scale, total in sums:
         # fails on a bound that is not finite, since inf > float max
         if not scale * bound <= min(1e15 * abs(total), sys.float_info.max):
             size = scale * _horner(map(abs, cs), y)
@@ -407,9 +420,12 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
 def _power_rule(
     kind: DerivativeKind, alpha: float, gamma: float, s: float, memo: Dict[tuple, Dict[int, float]]
 ) -> Callable[[int], float]:
-    """frac_derivative_power at gamma + n*s as a function of the lattice
-    index n, ceil(alpha) taken once.  Each value is kept in
-    memo[(kind, alpha, gamma, s)][n] and read from there when asked again."""
+    """The power rule of frac_derivative_power for D^alpha x^(gamma + n*s)
+    as a function of the lattice index n, ceil(alpha) taken once: the ratio
+    is gamma_ratio(gamma, n*s, alpha), whose Gamma argument is
+    1 + gamma + n*s.  Each value is kept in memo[(kind, alpha, gamma, s)][n]
+    and read from there when asked again.  A ratio beyond the float range
+    raises OverflowError naming the derivative and the exponent."""
     caputo = kind is DerivativeKind.CAPUTO and not is_integer_order(alpha)
     floor = ceil_order(alpha) - 1 + TAU_POLE if caputo else -1.0
     known = memo.setdefault((kind, alpha, gamma, s), {})
@@ -420,7 +436,10 @@ def _power_rule(
             r = n * s
             q = gamma + r
             if q > floor:
-                value = gamma_ratio(gamma, r, alpha)
+                try:
+                    value = gamma_ratio(gamma, r, alpha)
+                except OverflowError:
+                    raise OverflowError(f"{kind.value} D^{alpha} of x^{q} overflows") from None
             elif caputo and round(q) >= 0 and abs(q - round(q)) < TAU_POLE:
                 value = 0.0
             else:
@@ -432,8 +451,13 @@ def _power_rule(
 
 
 def frac_derivative_power(kind: DerivativeKind, alpha: float, exponent: float) -> float:
-    """Coefficient of the fractional power rule, the one that the recursion
-    and the residual share: D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha) x^(q-alpha).
+    """Coefficient of the fractional power rule:
+    D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha) x^(q-alpha).
+
+    This is _power_rule at gamma = q and n = 0.  The recursion and the
+    residual call _power_rule at (gamma, n*s) instead, whose Gamma argument
+    1 + gamma + n*s can round differently from 1 + q with q = gamma + s*n,
+    so their values may differ from this one in the last bits.
 
     Riemann-Liouville needs q > -1, and the coefficient is exactly zero when
     q+1-alpha is a nonpositive integer.  For a fractional order, Caputo of
@@ -490,30 +514,20 @@ def residual(
     the rounding of y amplified m-fold in y^m, the error is at most about
     3M eps sum_m |F_m| x^(gamma+s*m) (Higham 2002, section 5.1): M eps
     relative to a quantity that is itself the residual's rounding level.
-    Each x sums only the slots below a degree whose dropped slots add at
-    most 2^-7 eps x^gamma sum |slot-0 contributions|, a 2^-7 share of the
-    rounding floor eps sum_k |contribution_k| x^(gamma+s*slot_k); that share
-    adds to the bound.  The degree comes from one table per grid at the
-    largest y, as in evaluate.  A result that is not finite raises
-    OverflowError, as x**gamma or x**s does; both name x.
+    Each x sums only the slots that _lattice_sums keeps for the floor
+    sum |slot-0 contributions|: the dropped slots add at most 2^-7 eps
+    x^gamma times it, a 2^-7 share of the rounding floor
+    eps sum_k |contribution_k| x^(gamma+s*slot_k), and that share adds to
+    the bound.  An x that is not > 0 raises ValueError before anything is
+    folded.  A result that is not finite raises OverflowError, as x**gamma
+    or x**s does; both name the first such x of the grid.
     """
-    folded, floor = _fold(eq, sol)
     for x in xs:
         if not x > 0:
             raise ValueError(f"residual is defined for x > 0, got {x}")
-    ys = []
-    for x in xs:
-        try:
-            ys.append(x**sol.s)
-        except OverflowError:
-            ys.append(math.inf)  # no cut anywhere; raised in grid order below
-    _, heads = _cut(folded, ys, floor)
+    folded, floor = _fold(eq, sol)
     out = []
-    for x, y, head in zip(xs, ys, heads):
-        try:
-            r = x**sol.gamma * _horner(head, y)
-        except OverflowError:
-            r = math.inf
+    for x, _, _, r in _lattice_sums(folded, sol.gamma, sol.s, xs, floor, "residual")[1]:
         if not math.isfinite(r):
             raise OverflowError(f"residual overflows at x = {x!r}")
         out.append(r)

@@ -420,6 +420,26 @@ def test_undefined_caputo_derivative_fails_its_root(tmp_path, capsys):
     assert (out / "solution_5.csv").exists() and not (out / "solution_1.csv").exists()
 
 
+def test_gamma_ratio_overflow_fails_its_root_with_one_line(tmp_path, capsys):
+    # Caputo D^200 u + u = 0: at every root j = 0..199 the recursion needs
+    # D^200 of x^(j+200), whose Gamma ratio (j+200)!/j! exceeds the float
+    # range; each failure names the derivative and the exponent
+    spec = {
+        "kind": "caputo",
+        "form": "constant_coefficients",
+        "terms": [{"d": "1", "alpha": "200"}],
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    }
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "error: every valid root failed numerically\n"
+    report = (out / "report.txt").read_text()
+    assert "math range error" not in report
+    assert report.count("[W_OVERFLOW] root ") == 200
+    assert "[W_OVERFLOW] root 0: caputo D^200.0 of x^200.0 overflows\n" in report
+    assert "  root [199]: failed - caputo D^200.0 of x^399.0 overflows\n" in report
+
+
 def test_caputo_mittag_leffler_path(tmp_path):
     # all characteristic roots sit below the Caputo floor, but the integer
     # exponent gamma = 0 carries the Mittag-Leffler solution

@@ -14,6 +14,7 @@ from quasibessel import (
     uniqueness_bound,
     validate,
 )
+from quasibessel.equation import WARNING
 
 # frozen from mpmath at 40 digits
 THRESHOLD_EX1 = 0.84628437532163443042  # 1.5/sqrt(pi)
@@ -69,7 +70,8 @@ def test_validate_warns_on_nonpositive_bessel_coefficient():
     )
     report = validate(eq)
     assert report.is_valid  # warning only
-    assert report.warning_issues[0].code == "W_NONPOSITIVE_BESSEL_COEFFICIENT"
+    codes = [i.code for i in report.issues if i.severity == WARNING]
+    assert codes == ["W_NONPOSITIVE_BESSEL_COEFFICIENT"]
 
 
 @pytest.mark.parametrize("kind", [CAPUTO, RL])

@@ -35,6 +35,7 @@ from quasibessel import (
     evaluate,
     find_roots,
     frac_derivative_power,
+    from_constant_coefficients,
     residual,
     screen_collisions,
     series,
@@ -1062,6 +1063,9 @@ def test_residual_propagates_derivative_errors():
     )
     with pytest.raises(DerivativeUndefinedError):
         residual(eq, sol, [1.0])
+    # the grid is checked before any derivative is taken
+    with pytest.raises(ValueError, match=r"^residual is defined for x > 0, got -1\.0$"):
+        residual(eq, sol, [1.0, -1.0])
 
 
 def test_residual_overflow_raises():
@@ -1082,6 +1086,33 @@ def test_residual_overflow_raises():
         residual(eq, sol, [1.0, 1e300])
     with pytest.raises(OverflowError, match=r"series overflows at x = 1e\+300$"):
         evaluate(sol, [1.0, 1e300])
+    # the sum is not finite at x = 1e200, before x**s overflows at 1e300:
+    # each stage names the first bad point of the grid
+    with pytest.raises(OverflowError, match=r"^residual overflows at x = 1e\+200$"):
+        residual(eq, sol, [1.0, 1e200, 1e300])
+    with pytest.raises(OverflowError, match=r"^series overflows at x = 1e\+200$"):
+        evaluate(sol, [1.0, 1e200, 1e300])
+
+
+def test_gamma_ratio_overflow_names_the_derivative():
+    # Caputo D^200 u + u = 0 at gamma = 0: D_1 needs Gamma(201)/Gamma(1) =
+    # 200!, beyond the float range, and so does the residual's slot of a
+    # series x^200
+    eq = from_constant_coefficients([(1.0, "200")], kind=CAPUTO)
+    message = r"^caputo D\^200\.0 of x\^200\.0 overflows$"
+    with pytest.raises(OverflowError, match=message):
+        build_coefficients(eq, 0.0, compute_step(eq))
+    sol = SeriesSolution(
+        gamma=200.0,
+        s=200.0,
+        coefficients=[1.0],
+        c0=1.0,
+        truncation=Truncation(terms_used=0, tail_estimate=0.0, converged=False),
+    )
+    with pytest.raises(OverflowError, match=message):
+        residual(eq, sol, [0.5])
+    with pytest.raises(OverflowError, match=message):
+        frac_derivative_power(CAPUTO, 200.0, 200.0)
 
 
 def test_residual_rejects_nan():
@@ -1127,9 +1158,9 @@ def test_residual_takes_the_recursions_gamma_ratios(monkeypatch):
     assert residual(eq, bare, xs) == res
 
 
-# The residual as it was before the Horner sum, verbatim apart from the names
-# and from the slot folding being split out: one pow per nonzero slot and an
-# exactly rounded sum.
+# The residual's slots as folded before the Horner sum, apart from the names
+# and from each ratio being taken directly from gamma_ratio at the residual's
+# documented arguments (gamma, n*s): one exactly rounded sum per slot.
 def _folded_slots(eq, sol):
     plan = compute_step(eq)
     shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
@@ -1139,26 +1170,11 @@ def _folded_slots(eq, sol):
     for n, c in enumerate(sol.coefficients):
         if c == 0.0:
             continue
-        q = sol.gamma + sol.s * n
         for t, shift in zip(eq.terms, shifts):
-            slots[n + shift].append(t.d * c * frac_derivative_power(eq.kind, t.alpha, q))
+            slots[n + shift].append(t.d * c * gamma_ratio(sol.gamma, n * sol.s, t.alpha))
         slots[n + plan.n_beta].append(c)
         slots[n].append(-eq.nu_squared * c)
     return [math.fsum(slot) for slot in slots]
-
-
-def _lattice_terms(coefficients, gamma, s, xs):
-    lattice = [(c, gamma + s * n) for n, c in enumerate(coefficients) if c != 0.0]
-    for x in xs:
-        yield [c * x**e for c, e in lattice]
-
-
-def _fsum_residual(eq, sol, xs):
-    for x in xs:
-        if x <= 0:
-            raise ValueError(f"residual is defined for x > 0, got {x}")
-    folded = _folded_slots(eq, sol)
-    return list(map(math.fsum, _lattice_terms(folded, sol.gamma, sol.s, xs)))
 
 
 _BETAS = st.sampled_from([Fraction(1, 5), Fraction(1, 2), Fraction(2), Fraction(3)])
@@ -1197,18 +1213,32 @@ def _series_and_points(draw, max_terms=20):
     return eq, sol, xs
 
 
+def _caputo_three_term_case():
+    # Caputo D^1.625 u (p = 3/2) + D^1 u + D^0.5 u, beta = 3, at x = 0.5
+    eq = QuasiBesselEquation(
+        terms=(Term(1.0, 1.625, Fraction(3, 2)), Term(1.0, 1.0, 0), Term(1.0, 0.5, 0)),
+        beta=3,
+        nu_squared=0.0,
+        kind=CAPUTO,
+    )
+    return eq, build_coefficients(eq, 3.3685345578359898, compute_step(eq), n_terms=20), [0.5]
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(case=_series_and_points())
+# a reference taking its ratios at the float exponent gamma + s*n, whose
+# Gamma argument 1 + q rounds differently, lay 4.1e-11 from the residual
+# here, against 3.2e-11 allowed
+@example(case=_caputo_three_term_case())
 def test_residual_horner_within_bound_of_fsum_sum(case):
-    # Horner in y = x^s: within 4 M eps of the slot magnitudes of the
-    # exactly rounded sum of the pow terms
+    # Horner in y = x^s: within 4 M eps of the slot magnitudes of the exact
+    # sum, at the same float y and x^gamma, of the reference slots
     eq, sol, xs = case
     folded = _folded_slots(eq, sol)
     m_top = len(folded) - 1
-    eps = sys.float_info.epsilon
-    for x, new, old in zip(xs, residual(eq, sol, xs), _fsum_residual(eq, sol, xs)):
-        scale = math.fsum(abs(f) * x ** (sol.gamma + sol.s * m) for m, f in enumerate(folded))
-        assert abs(new - old) <= 4 * m_top * eps * scale
+    for x, r in zip(xs, residual(eq, sol, xs)):
+        exact, size = _dyadic_sums(folded, x**sol.s, x**sol.gamma)
+        assert abs(Fraction(r) - exact) <= 4 * m_top * _EPS * size
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
