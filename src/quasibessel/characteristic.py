@@ -47,7 +47,7 @@ from typing import List, Optional, Sequence
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
 from .gammafn import TAU_POLE, gamma_ratio
-from .series import StepPlan
+from .series import CAPUTO_FLOOR_WIDTH, StepPlan
 
 __all__ = [
     "RootStatus",
@@ -149,8 +149,9 @@ def _grid_values(eq: QuasiBesselEquation, grid: Sequence[float]) -> List[float]:
 
 def _status_for(eq: QuasiBesselEquation, gamma: float) -> RootStatus:
     # Caputo derivatives of fractional order alpha need gamma > ceil(alpha) - 1
+    # by more than CAPUTO_FLOOR_WIDTH, the floor the power rule applies
     caputo = eq.kind is DerivativeKind.CAPUTO and eq.n_max is not None
-    if caputo and gamma <= eq.n_max - 1 + 1e-12:
+    if caputo and gamma <= eq.n_max - 1 + CAPUTO_FLOOR_WIDTH:
         return RootStatus.BELOW_CAPUTO_FLOOR
     return RootStatus.VALID
 
@@ -211,8 +212,9 @@ def find_roots(
     ``_scan_roots``) and the integers of ``caputo_integer_exponents``.
 
     A root of G within TAU_POLE of such an integer j is replaced by j, valid.
-    Other Caputo roots at or below n_max - 1 are returned flagged rather than
-    dropped, so callers can report why they generate no solution.
+    Other Caputo roots at or below n_max - 1 + CAPUTO_FLOOR_WIDTH (1e-12,
+    the width the power rule gives the floor) are returned flagged rather
+    than dropped, so callers can report why they generate no solution.
     """
     if eq.m1 == 0:
         warnings.warn(

@@ -53,6 +53,7 @@ from .equation import (
 from .series import (
     EPS_TAIL,
     MAX_TERMS,
+    _BLOWUP_LIMIT,
     DenominatorPoleError,
     DerivativeUndefinedError,
     SeriesSolution,
@@ -369,9 +370,12 @@ def solve_command(
         built += 1
         converged += trunc.converged
         if not trunc.converged:
+            limit = (
+                f"coefficient c_{trunc.terms_used} passed the blow-up limit {_BLOWUP_LIMIT:g}"
+                if trunc.blown_up else f"truncation cap {n_terms_max} reached"
+            )
             warning_lines.append(
-                f"[W_NOT_CONVERGED] root {k}: truncation cap {n_terms_max} reached "
-                "before the tail fell below eps_tail"
+                f"[W_NOT_CONVERGED] root {k}: {limit} before the tail fell below eps_tail"
             )
         report.append(
             f"  root [{k}]: gamma = {sol.gamma!r}  N = {trunc.terms_used}  "

@@ -32,16 +32,10 @@ reached.
 
 Evaluation and residual sum through one routine, _lattice_sums: Horner's
 rule in y = x^s on the integer lattice indices, scaled by x^gamma, with two
-pow calls per point and no float exponent.  evaluate sums the coefficients
-c_n, residual its folded slots F_m.  Each point sums only the terms it needs,
-by the cut rule stated in _lattice_sums, against a floor: |c_0| for evaluate
-(|c_0| x^gamma <= S, the size its bound is stated in) and sum |slot-0
-contributions| for residual (a share of its rounding floor), so each stated
-error bound grows by 2^-7 eps of the quantity it is written in.  The cut
-table's last partial, sum_n |c_n| y_max^n at the largest y, times x^gamma
-bounds evaluate's size S = sum_n |c_n| x^(gamma+s*n) at every point; S is
-summed again only at a point where that bound leaves the overflow or
-cancellation test open.
+pow calls per point and no float exponent.  Its docstring states the cut
+rule, by which each point sums only the terms it needs, and the overflow
+rule; evaluate (on c_n) and residual (on its folded slots F_m) state what
+each adds to their error bounds.
 """
 
 from __future__ import annotations
@@ -52,10 +46,10 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
-from .gammafn import TAU_POLE, gamma_ratio
+from .gammafn import gamma_ratio
 from .rational import gcf, lcd
 
 __all__ = [
@@ -73,10 +67,16 @@ __all__ = [
     "c0_for_initial_derivative",
     "EPS_TAIL",
     "MAX_TERMS",
+    "CAPUTO_FLOOR_WIDTH",
 ]
 
 EPS_TAIL = 1e-14
 MAX_TERMS = 2000
+# The width of the Caputo floor, for the power rule and the root screening
+# alike: a fractional D^alpha x^q needs q > ceil(alpha) - 1 + this, and a q
+# within this of an integer j >= 0 is j there.  A lattice point gamma + n*s
+# that is an integer in exact arithmetic lands within ~1e-13 of it.
+CAPUTO_FLOOR_WIDTH = 1e-12
 
 # below this, a recursion denominator is treated as an exact collision
 _TAU_DENOM_SCALE = 1e-8
@@ -138,6 +138,8 @@ class Truncation:
     terms_used: int
     tail_estimate: float
     converged: bool
+    # the recursion stopped on a coefficient beyond _BLOWUP_LIMIT
+    blown_up: bool = False
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,7 @@ def build_coefficients(
         s=s,
         coefficients=[c0 * u for u in unit],
         c0=c0,
-        truncation=Truncation(terms_used=len(unit) - 1, tail_estimate=tail, converged=converged),
+        truncation=Truncation(len(unit) - 1, tail, converged, blown_up),
         ratios=ratios,
     )
 
@@ -296,17 +298,28 @@ def _horner(coeffs_top_first: Iterable[float], y: float) -> float:
     return acc
 
 
+def _powers(xs: Sequence[float], p: float) -> List[float]:
+    """x**p at every x of a grid, inf where that power overflows."""
+    out = []
+    for x in xs:
+        try:
+            out.append(x**p)
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
 def _lattice_sums(
     coeffs_top_first: Sequence[float], gamma: float, s: float, xs: Sequence[float],
-    floor: float, stage: str,
-) -> Tuple[float, Iterator[Tuple[float, float, float, float]]]:
+    floor: float,
+) -> Tuple[float, List[Tuple[float, float, float]]]:
     """Sum a_0..a_N, given top first, on the lattice at every x of a grid:
     x^gamma * P(y) with y = x^s and P(y) = sum_n a_n y^n by Horner's rule.
 
     Each point sums only the terms below a degree M whose dropped tail
     sum_(n>=M) |a_n| y^n is at most 2^-7 eps floor.  With the partials
-    U_M = sum_(n>=M) |a_n| y_max^(n-M) at the largest y, that tail is at
-    most y^M U_M for every y <= y_max, so degree M serves every y up to
+    U_M = sum_(n>=M) |a_n| y_max^(n-M) at the largest finite y, that tail is
+    at most y^M U_M for every y <= y_max, so degree M serves every y up to
     (2^-7 eps floor / U_M)^(1/M).  M runs over every 16th degree below
     N + 1.  A suffix minimum makes those limits nondecreasing, so each y
     takes, by one bisection, the lowest degree that serves it together with
@@ -315,24 +328,18 @@ def _lattice_sums(
     so a one-point call may keep a different number of terms than the grid
     call.
 
-    x**s and x**gamma are formed once per point, up to the first x where
-    either overflows; that x and the points after it take no part in y_max.
-    Returns U_0, which is Horner's rule on |a_n| at y_max, and an iterator
-    that yields (x, y, x^gamma, x^gamma * P(y)) for the points before that
-    x, in grid order, and then raises OverflowError("<stage> overflows at
-    x = ...") naming it, so a caller's own test of each point runs first.
+    Overflow is a value, not an event: x**s and x**gamma are formed once per
+    point, each as inf where it overflows.  At y = inf Horner's first step
+    is 0 * inf = NaN, and x^gamma = inf makes the sum inf or NaN, so a
+    caller's finiteness test of each sum names the first such x in grid
+    order.  An empty coefficient list is never multiplied: its sum is 0.0
+    at any y, and NaN only where x^gamma = inf.
+
+    Returns U_0, which is Horner's rule on |a_n| at y_max, and a list of
+    (y, x^gamma, x^gamma * P(y)) for every point, in grid order.
     """
-    ys, scales = [], []
-    bad = None
-    for x in xs:
-        try:
-            y, scale = x**s, x**gamma
-        except OverflowError:
-            bad = x
-            break
-        ys.append(y)
-        scales.append(scale)
-    y_max = max(ys, default=0.0)
+    ys, scales = _powers(xs, s), _powers(xs, gamma)
+    y_max = max(filter(math.isfinite, ys), default=0.0)
     acc = 0.0
     partials = [acc := acc * y_max + abs(a) for a in coeffs_top_first]  # U_N .. U_0
     n_top = len(partials) - 1
@@ -349,14 +356,8 @@ def _lattice_sums(
     limits.reverse()
     picks = [bisect_left(limits, y) for y in ys]
     heads = {j: coeffs_top_first[n_top + 1 - degrees[j]:] for j in set(picks)}
-    totals = [scale * _horner(heads[j], y) for y, scale, j in zip(ys, scales, picks)]
-
-    def sums() -> Iterator[Tuple[float, float, float, float]]:
-        yield from zip(xs, ys, scales, totals)
-        if bad is not None:
-            raise OverflowError(f"{stage} overflows at x = {bad!r}")
-
-    return (partials[-1] if partials else 0.0), sums()
+    sums = [(y, scale, scale * _horner(heads[j], y)) for y, scale, j in zip(ys, scales, picks)]
+    return (partials[-1] if partials else 0.0), sums
 
 
 def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
@@ -370,8 +371,8 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     section 5.1; the rounding of y counts n-fold in y^n).  Where values fall
     below the normal range each rounding may add up to half the smallest
     subnormal, grown by x^gamma y^n.  A u or S that is not finite raises
-    OverflowError, as x**gamma or x**s does when that power alone
-    overflows; both name the first such x of the grid.
+    OverflowError naming the first such x of the grid; by the overflow rule
+    of _lattice_sums, an x where x**gamma or x**s overflows is one.
 
     Each x sums only the terms that _lattice_sums keeps for the floor |c_0|:
     the dropped terms add at most 2^-7 eps |c_0| x^gamma, and
@@ -382,10 +383,11 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     attempted.  S is at most N+1 times the largest term, and is the quantity
     the error bound is stated in.  A sum of exactly zero warns when S is not.
 
-    The cut table's last partial, sum_n |c_n| y^n at the largest y, times
-    x^gamma bounds the computed S at every x, since Horner on |c_n| rounds
-    each multiply and add monotonically; S itself is summed, over every
-    term, only at an x where the bound is not finite or exceeds 1e15 |u|.
+    The cut table's last partial, sum_n |c_n| y^n at the largest finite y,
+    times x^gamma bounds the computed S at every x of finite y, since Horner
+    on |c_n| rounds each multiply and add monotonically; S itself is summed,
+    over every term, only at an x where the bound is not finite or exceeds
+    1e15 |u|, or where u is NaN, as it is at y = inf.
     """
     for x in xs:
         if not x >= 0:
@@ -394,10 +396,10 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
             raise ValueError(f"series with gamma = {sol.gamma!r} < 0 is undefined at x = 0")
     cs = sol.coefficients[::-1]  # c_N first
     floor = abs(sol.coefficients[0]) if cs else 0.0
-    bound, sums = _lattice_sums(cs, sol.gamma, sol.s, xs, floor, "series")
+    bound, sums = _lattice_sums(cs, sol.gamma, sol.s, xs, floor)
     out = []
     lost = False
-    for x, y, scale, total in sums:
+    for x, (y, scale, total) in zip(xs, sums):
         # fails on a bound that is not finite, since inf > float max
         if not scale * bound <= min(1e15 * abs(total), sys.float_info.max):
             size = scale * _horner(map(abs, cs), y)
@@ -427,7 +429,8 @@ def _power_rule(
     and read from there when asked again.  A ratio beyond the float range
     raises OverflowError naming the derivative and the exponent."""
     caputo = kind is DerivativeKind.CAPUTO and not is_integer_order(alpha)
-    floor = ceil_order(alpha) - 1 + TAU_POLE if caputo else -1.0
+    width = CAPUTO_FLOOR_WIDTH
+    floor = ceil_order(alpha) - 1 + width if caputo else -1.0
     known = memo.setdefault((kind, alpha, gamma, s), {})
 
     def rule(n: int) -> float:
@@ -440,7 +443,7 @@ def _power_rule(
                     value = gamma_ratio(gamma, r, alpha)
                 except OverflowError:
                     raise OverflowError(f"{kind.value} D^{alpha} of x^{q} overflows") from None
-            elif caputo and round(q) >= 0 and abs(q - round(q)) < TAU_POLE:
+            elif caputo and (j := round(q)) >= 0 and j - width <= q <= j + width:
                 value = 0.0
             else:
                 raise DerivativeUndefinedError(f"{kind.value} D^{alpha} of x^{q} is undefined")
@@ -463,10 +466,11 @@ def frac_derivative_power(kind: DerivativeKind, alpha: float, exponent: float) -
     q+1-alpha is a nonpositive integer.  For a fractional order, Caputo of
     x^q with q a nonnegative integer below ceil(alpha) is exactly zero (the
     classical derivative of a low-degree monomial); otherwise Caputo needs
-    q > ceil(alpha)-1 and then agrees with Riemann-Liouville.  For an integer
-    order n both are the classical D^n (Kilbas, Srivastava & Trujillo 2006,
-    2.4), so Caputo takes the Riemann-Liouville rule: D^n x^q =
-    q(q-1)...(q-n+1) x^(q-n) for q > -1, zero at q = 0..n-1.
+    q > ceil(alpha)-1 and then agrees with Riemann-Liouville; both tests take
+    CAPUTO_FLOOR_WIDTH, a q within it of an integer being that integer.  For
+    an integer order n both are the classical D^n (Kilbas, Srivastava &
+    Trujillo 2006, 2.4), so Caputo takes the Riemann-Liouville rule:
+    D^n x^q = q(q-1)...(q-n+1) x^(q-n) for q > -1, zero at q = 0..n-1.
     """
     return _power_rule(kind, alpha, exponent, 0.0, {})(0)
 
@@ -519,15 +523,16 @@ def residual(
     x^gamma times it, a 2^-7 share of the rounding floor
     eps sum_k |contribution_k| x^(gamma+s*slot_k), and that share adds to
     the bound.  An x that is not > 0 raises ValueError before anything is
-    folded.  A result that is not finite raises OverflowError, as x**gamma
-    or x**s does; both name the first such x of the grid.
+    folded.  A result that is not finite raises OverflowError naming the
+    first such x of the grid; by the overflow rule of _lattice_sums, an x
+    where x**gamma or x**s overflows is one.
     """
     for x in xs:
         if not x > 0:
             raise ValueError(f"residual is defined for x > 0, got {x}")
     folded, floor = _fold(eq, sol)
     out = []
-    for x, _, _, r in _lattice_sums(folded, sol.gamma, sol.s, xs, floor, "residual")[1]:
+    for x, (_, _, r) in zip(xs, _lattice_sums(folded, sol.gamma, sol.s, xs, floor)[1]):
         if not math.isfinite(r):
             raise OverflowError(f"residual overflows at x = {x!r}")
         out.append(r)

@@ -191,6 +191,25 @@ def test_unconverged_series_exits_numerical(tmp_path, capsys):
     report = (out / "report.txt").read_text()
     assert "  root [1]: gamma = " in report and "converged = False" in report
     assert "[W_NOT_CONVERGED] root 1: truncation cap 1 reached" in report
+    # RL 1e-3 D^0.5 u + (x - 0.0009) u = 0: the recursion stops at N = 126,
+    # long before the cap, because c_126 passed 1e280
+    spec = {
+        "kind": "riemann_liouville",
+        "form": "quasi_bessel",
+        "terms": [{"d": "1e-3", "alpha": "0.5", "p": "0"}],
+        "beta": "1",
+        "nu": "0.03",
+        "domain": {"x_min": "0.1", "x_max": "0.5", "n_points": 5},
+    }
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "error: no series reached the tail tolerance\n"
+    report = (out / "report.txt").read_text()
+    assert "  root [0]: gamma = 0.5254980607542088  N = 126  " in report
+    assert (
+        "[W_NOT_CONVERGED] root 0: coefficient c_126 passed the blow-up limit 1e+280 "
+        "before the tail fell below eps_tail\n"
+    ) in report
+    assert "truncation cap" not in report
 
 
 def test_uniqueness_bound_overflow_reported_as_inf(tmp_path):
@@ -393,6 +412,27 @@ def test_caputo_integer_order_below_fractional_floor(tmp_path, capsys):
     assert [r["status"] for r in read_csv(out / "roots.csv")] == ["valid"]
     report = (out / "report.txt").read_text()
     assert "  root [0]: gamma = 0.90479848" in report and "converged = True" in report
+
+
+def test_caputo_root_just_above_the_floor_is_solved(tmp_path, capsys):
+    # Caputo D^1.5 u + (x - nu^2) u = 0 with nu^2 = Q(1 + 5e-10, 1.5): the
+    # root 1 + 5e-10 is valid, and the series' first slot must take
+    # D^1.5 x^gamma as the Gamma ratio, not as the zero of an integer power
+    spec = {
+        "kind": "caputo",
+        "form": "quasi_bessel",
+        "terms": [{"d": "1", "alpha": "1.5", "p": "0"}],
+        "beta": "1",
+        "nu": "0.7511255449130444",
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    }
+    out = tmp_path / "out"
+    assert main(["solve", str(write_spec(tmp_path, spec)), "-o", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    roots = read_csv(out / "roots.csv")
+    assert [(r["gamma"], r["status"]) for r in roots][1] == ("1.0000000005000005", "valid")
+    assert "warnings: none" in (out / "report.txt").read_text()
+    assert max(abs(float(r["residual"])) for r in read_csv(out / "residual_1.csv")) < 1e-15
 
 
 def test_undefined_caputo_derivative_fails_its_root(tmp_path, capsys):

@@ -44,6 +44,7 @@ from quasibessel.cli import build_equation
 from quasibessel.equation import DerivativeKind, ceil_order
 from quasibessel.gammafn import gamma_ratio
 from quasibessel.series import (
+    CAPUTO_FLOOR_WIDTH,
     EPS_TAIL,
     MAX_TERMS,
     _BLOWUP_LIMIT,
@@ -319,7 +320,9 @@ def _window_rescan_build(
         s=s,
         coefficients=coeffs,
         c0=c0,
-        truncation=Truncation(terms_used=n_used, tail_estimate=tail, converged=converged),
+        truncation=Truncation(
+            terms_used=n_used, tail_estimate=tail, converged=converged, blown_up=blown_up
+        ),
     )
 
 
@@ -696,7 +699,7 @@ def _check_point(sol, x, point):
     u, size, allowed, largest = _lattice_sums(sol, x)
     if point[0] is OverflowError:
         assert largest > _HUGE * (1 - 1e-9)
-        assert point[1] in (f"series overflows at x = {x!r}", "(34, 'Numerical result out of range')")
+        assert point[1] == f"series overflows at x = {x!r}"
         return
     assert size <= _HUGE * (1 + 1e-9)
     (value,), warned = point
@@ -962,8 +965,11 @@ def test_evaluate_and_residual_sum_only_the_terms_each_point_needs(monkeypatch):
 
 def test_power_rule_trivial_cases():
     assert frac_derivative_power(RL, 0.5, -0.5) == 0.0  # Gamma(0.5)/Gamma(0) = 0
-    # integer power below ceil(alpha)
+    # integer power below ceil(alpha), and any q within CAPUTO_FLOOR_WIDTH of it
     assert frac_derivative_power(CAPUTO, 1.5, 1.0) == 0.0
+    assert frac_derivative_power(CAPUTO, 1.5, 1 + 2**-52) == 0.0
+    assert frac_derivative_power(CAPUTO, 1.5, 1 + CAPUTO_FLOOR_WIDTH / 2) == 0.0
+    assert frac_derivative_power(CAPUTO, 1.5, 1 + CAPUTO_FLOOR_WIDTH) == 0.0  # the floor
     assert frac_derivative_power(RL, 1.0, 2.0) == pytest.approx(2.0, rel=1e-15)
 
 
@@ -979,6 +985,10 @@ def test_power_rule_matches_gamma_ratio_for_valid_exponents():
     # an integer order is the classical derivative at every q > -1:
     # (x^0.5)'' = -0.25 x^-1.5, below the fractional floor ceil(2) - 1
     assert frac_derivative_power(CAPUTO, 2.0, 0.5) == pytest.approx(-0.25, rel=1e-15)
+    # above the floor ceil(1.5) - 1 = 1 by more than CAPUTO_FLOOR_WIDTH, where
+    # find_roots calls a root valid, Caputo is the Gamma ratio too
+    q = 1 + 5e-10
+    assert frac_derivative_power(CAPUTO, 1.5, q) == gamma_ratio(q, 0.0, 1.5) > 0.0
 
 
 def test_power_rule_preconditions():
@@ -986,6 +996,8 @@ def test_power_rule_preconditions():
         frac_derivative_power(RL, 0.5, -1.5)
     with pytest.raises(DerivativeUndefinedError):
         frac_derivative_power(CAPUTO, 1.5, 0.3)  # below ceil(alpha) - 1, not integer
+    with pytest.raises(DerivativeUndefinedError):
+        frac_derivative_power(CAPUTO, 1.5, 1 - 5e-10)  # beyond CAPUTO_FLOOR_WIDTH of 1
 
 
 # -- residual -----------------------------------------------------------------
@@ -1069,29 +1081,43 @@ def test_residual_propagates_derivative_errors():
 
 
 def test_residual_overflow_raises():
+    def first_bad(eq, sol, xs, bad):
+        # evaluate and residual name the same first bad x of the grid
+        for stage, run in (("series", evaluate), ("residual", lambda sol, xs: residual(eq, sol, xs))):
+            with pytest.raises(OverflowError, match=f"^{stage} overflows at x = {re.escape(repr(bad))}$"):
+                run(sol, xs)
+
     # exp(-x) at x = 1e20: the slots reach y^30 = 1e600
     eq = example2()
     sol = build_coefficients(eq, 0.0, compute_step(eq), n_terms=30)
-    with pytest.raises(OverflowError, match=r"residual overflows at x = 1e\+20$"):
-        residual(eq, sol, [1e20])
-    # x**gamma itself overflows at x = 1e300
+    first_bad(eq, sol, [1e20], 1e20)
+    # x**gamma itself overflows at x = 1e300 (gamma = 2.2), x**s (s = 0.1)
+    # does not, and the finite point after it changes nothing
     eq = example1(2.0)
-    sol = build_coefficients(eq, _valid_gamma(eq), compute_step(eq), n_terms=5)
-    with pytest.raises(OverflowError, match=r"residual overflows at x = 1e\+300$"):
-        residual(eq, sol, [1.0, 1e300])
-    # x**s itself overflows at x = 1e300 with s = 1.2, x**gamma does not
+    ex1 = build_coefficients(eq, _valid_gamma(eq), compute_step(eq), n_terms=5)
+    first_bad(eq, ex1, [1.0, 1e300], 1e300)
+    first_bad(eq, ex1, [1.0, 1e300, 2.0], 1e300)
+    # x**s itself overflows at x = 1e300 with s = 1.2, x**gamma does not,
+    # also as the grid's first point; inf**s is inf, inf**-0.5 is 0.0
     eq = example4(2.0)
     sol = build_coefficients(eq, -0.5, compute_step(eq), n_terms=10)
-    with pytest.raises(OverflowError, match=r"residual overflows at x = 1e\+300$"):
-        residual(eq, sol, [1.0, 1e300])
-    with pytest.raises(OverflowError, match=r"series overflows at x = 1e\+300$"):
-        evaluate(sol, [1.0, 1e300])
+    first_bad(eq, sol, [1.0, 1e300], 1e300)
+    first_bad(eq, sol, [1e300, 1.0], 1e300)
+    first_bad(eq, sol, [1.0, math.inf, 2.0], math.inf)
     # the sum is not finite at x = 1e200, before x**s overflows at 1e300:
     # each stage names the first bad point of the grid
-    with pytest.raises(OverflowError, match=r"^residual overflows at x = 1e\+200$"):
-        residual(eq, sol, [1.0, 1e200, 1e300])
-    with pytest.raises(OverflowError, match=r"^series overflows at x = 1e\+200$"):
-        evaluate(sol, [1.0, 1e200, 1e300])
+    first_bad(eq, sol, [1.0, 1e200, 1e300], 1e200)
+    # a hand-made empty coefficient list is never multiplied: it sums to 0.0
+    # where only x**s overflows, and overflows where x**gamma does (inf * 0)
+    def empty(gamma):
+        return SeriesSolution(
+            gamma=gamma, s=1.2, coefficients=[], c0=0.0,
+            truncation=Truncation(terms_used=0, tail_estimate=0.0, converged=False),
+        )
+
+    assert evaluate(empty(-0.5), [1.0, 1e300, math.inf]) == [0.0, 0.0, 0.0]
+    with pytest.raises(OverflowError, match=r"^series overflows at x = 1e\+300$"):
+        evaluate(empty(ex1.gamma), [1.0, 1e300])
 
 
 def test_gamma_ratio_overflow_names_the_derivative():
