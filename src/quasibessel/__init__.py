@@ -31,7 +31,7 @@ from .equation import (
     validate,
 )
 from .gammafn import GammaPoleError, gamma_ratio, signed_log_gamma
-from .rational import Rational, as_rational, gcf, lcd, parse_decimal
+from .rational import as_rational, parse_decimal
 from .series import (
     CancellationWarning,
     DenominatorPoleError,
@@ -64,7 +64,6 @@ __all__ = [
     "GammaPoleError",
     "KilbasSaigoParams",
     "QuasiBesselEquation",
-    "Rational",
     "RootSearchWarning",
     "RootStatus",
     "SeriesSolution",
@@ -84,11 +83,9 @@ __all__ = [
     "from_constant_coefficients",
     "from_power_factors",
     "gamma_ratio",
-    "gcf",
     "kilbas_saigo",
     "kilbas_saigo_coefficients",
     "kilbas_saigo_for_single_term",
-    "lcd",
     "mittag_leffler",
     "nu_min_threshold",
     "parse_decimal",

@@ -203,13 +203,12 @@ def _tail_monotone_positive(values: Sequence[float]) -> bool:
 
 
 def find_roots(
-    eq: QuasiBesselEquation,
-    search_hi: Optional[float] = None,
-    grid_points: int = GRID_POINTS,
+    eq: QuasiBesselEquation, search_hi: Optional[float] = None
 ) -> List[CharacteristicRoot]:
     """Every leading exponent the solver tries, sorted ascending: the real
     roots of G (in closed form for one pure term with nu = 0, else by
-    ``_scan_roots``) and the integers of ``caputo_integer_exponents``.
+    ``_scan_roots`` on its GRID_POINTS-step grid) and the integers of
+    ``caputo_integer_exponents``.
 
     A root of G within TAU_POLE of such an integer j is replaced by j, valid.
     Other Caputo roots at or below n_max - 1 + CAPUTO_FLOOR_WIDTH (1e-12,
@@ -226,7 +225,7 @@ def find_roots(
     if eq.nu_squared == 0.0 and eq.m1 == 1:
         roots = _analytic_family(eq)
     else:
-        roots = _scan_roots(eq, search_hi, grid_points)
+        roots = _scan_roots(eq, search_hi)
     integers = caputo_integer_exponents(eq)
     roots = [r for r in roots if all(abs(r.gamma - j) >= TAU_POLE for j in integers)]
     roots += [CharacteristicRoot(float(j)) for j in integers]
@@ -245,17 +244,20 @@ def caputo_integer_exponents(eq: QuasiBesselEquation) -> List[int]:
 
 
 def _scan_roots(
-    eq: QuasiBesselEquation, search_hi: Optional[float], grid_points: int
+    eq: QuasiBesselEquation, search_hi: Optional[float]
 ) -> List[CharacteristicRoot]:
     """All real roots of G on (-1 + 2*TAU_POLE, search_hi], for an equation
     with a pure Bessel term.
 
-    The fine grid runs from floor + step to search_hi in ``grid_points``
-    steps, with floor = -1 + TAU_POLE; one more sample at -1 + 2*TAU_POLE,
-    just above the pole at -1, covers the first cell (G is continuous on
-    (-1, inf)).  Sign changes between neighbouring fine points are
-    bracketed and bisected until the bracket is two neighbouring floats,
-    but G is computed on the fine grid only where a bracket can be:
+    The fine grid runs from floor + step to search_hi in GRID_POINTS steps,
+    with floor = -1 + TAU_POLE.  GRID_POINTS is the one source of the scan
+    resolution, the documented 10^4 steps, and the benchmark's root-scan
+    generator (solvebench/specs.py) mirrors it as PROGRAM_GRID_POINTS.  One
+    more sample at -1 + 2*TAU_POLE, just above the pole at -1, covers the
+    first cell (G is continuous on (-1, inf)).  Sign changes between
+    neighbouring fine points are bracketed and bisected until the bracket is
+    two neighbouring floats, but G is computed on the fine grid only where a
+    bracket can be:
 
     - G is first computed on every ``_COARSE``-th fine point and the last
       one.  A coarse cell is kept when its end values differ in sign or one
@@ -288,8 +290,6 @@ def _scan_roots(
     hi = _default_search_hi(eq) if search_hi is None else float(search_hi)
     if hi <= floor:
         raise ValueError(f"search_hi={hi} must exceed the lower bound {floor}")
-    if grid_points < 1:
-        raise ValueError(f"grid_points={grid_points} must be at least 1")
 
     def points(indices: Sequence[int]) -> List[float]:
         # fine index i > 0 is floor + i*step; index 0 is the sample at `first`
@@ -297,9 +297,9 @@ def _scan_roots(
 
     attempts = _MAX_DOUBLINGS if search_hi is None else 0
     while True:
-        step = (hi - floor) / grid_points
+        step = (hi - floor) / GRID_POINTS
         start = 0 if floor + step > first else 1
-        top = range(max(start, grid_points + 1 - _TOP_WINDOW), grid_points + 1)
+        top = range(max(start, GRID_POINTS + 1 - _TOP_WINDOW), GRID_POINTS + 1)
         if _tail_monotone_positive(_grid_values(eq, points(top))):
             break
         if attempts == 0:
@@ -315,7 +315,7 @@ def _scan_roots(
         hi = floor + 2.0 * (hi - floor)
         attempts -= 1
 
-    coarse = [*range(start, grid_points, _COARSE), grid_points]
+    coarse = [*range(start, GRID_POINTS, _COARSE), GRID_POINTS]
     values = _grid_values(eq, points(coarse))
     diffs = [b - a for a, b in zip(values, values[1:])]
     # turns[j]: the coarse differences do not keep one strict sign across
@@ -343,14 +343,14 @@ def _scan_roots(
             g = _bisect(eq, g_lo, g_hi, f_lo)
             roots.append(CharacteristicRoot(g, _status_for(eq, g)))
     if values[-1] == 0.0:
-        g = floor + grid_points * step
+        g = floor + GRID_POINTS * step
         roots.append(CharacteristicRoot(g, _status_for(eq, g)))
 
     if not roots:
         warnings.warn(
             RootSearchWarning(
                 f"no sign change of G(gamma) found on ({floor:.3g}, {hi:.6g}] "
-                f"with {grid_points} samples"
+                f"with {GRID_POINTS} samples"
             )
         )
     return roots

@@ -16,12 +16,19 @@ the shifting indices survive parsing exactly.  Schema:
       "options": {"c0": "...", "n_terms_max": int, "eps_tail": "..."}
     }
 
+The spec's ``options`` is the one source of c0, the truncation cap and the
+tail tolerance (defaults "1", series.MAX_TERMS and series.EPS_TAIL); no
+command-line flag overrides them, so the spec that report.txt names fixes
+every numerical setting of the solve.
+
 Exit codes: 0 success (at least one valid, converged root); 2 validation
-failure; 3 no valid roots, or ``--root`` names a root that is not valid;
+failure, or an output directory that cannot be created or written; 3 no
+valid roots, or ``--root`` names a root that is not valid;
 4 numerical failure (overflow in the root search, every valid root failing
 with a denominator pole, an overflow or an undefined derivative, reported as
 W_DERIVATIVE_UNDEFINED, or no series converging).  Exits 2 and
-a root-search overflow write nothing.  Every other exit 3 or 4 still writes
+a root-search overflow write nothing, except that an output error may leave
+the files written before it.  Every other exit 3 or 4 still writes
 roots.csv and report.txt, plus the coefficient, solution and residual CSVs
 of each root whose series was built.  A nonzero exit prints one ``error:``
 line to stderr, or one per fatal issue when validation fails.
@@ -36,7 +43,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .characteristic import RootStatus, characteristic_value, find_roots, screen_collisions
@@ -192,31 +199,27 @@ def _domain_grid(spec: dict) -> Tuple[float, float, List[float]]:
     return x_min, x_max, [x_min + i * h for i in range(n_points)]
 
 
-def _options(
-    spec: dict, max_terms: Optional[int], eps_tail: Optional[float]
-) -> Tuple[float, int, float]:
-    """c0, the truncation cap and the tail tolerance; the command-line
-    overrides, when given, replace the spec's values."""
+def _options(spec: dict) -> Tuple[float, int, float]:
+    """c0, the truncation cap and the tail tolerance, from the spec's
+    ``options``: the one source of each, so the spec a report names fixes
+    them."""
     options = _as_object(spec.get("options", {}), "'options'")
     c0 = _as_float(options.get("c0", "1"), "c0")
     if not math.isfinite(c0):
         raise SpecFileError(f"c0 must be finite, got {c0!r}")
-    if max_terms is None:
-        max_terms = _as_int(options.get("n_terms_max", MAX_TERMS), "n_terms_max")
+    max_terms = _as_int(options.get("n_terms_max", MAX_TERMS), "n_terms_max")
     if max_terms < 1:
-        raise SpecFileError(f"n_terms_max (--max-terms) must be >= 1, got {max_terms}")
-    if eps_tail is None:
-        eps_tail = _as_float(options.get("eps_tail", repr(EPS_TAIL)), "eps_tail")
+        raise SpecFileError(f"n_terms_max must be >= 1, got {max_terms}")
+    eps_tail = _as_float(options.get("eps_tail", repr(EPS_TAIL)), "eps_tail")
     if not eps_tail > 0:
         raise SpecFileError(f"eps_tail must be positive, got {eps_tail!r}")
     return c0, max_terms, eps_tail
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     # every field is a number, an integer, a status word or empty, so none
     # needs quoting
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(",".join(row) + "\n" for row in [header, *rows])
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _oracle_check(
@@ -243,20 +246,20 @@ def solve_command(
     output_dir: Path,
     root_index: Optional[int] = None,
     oracle: bool = False,
-    max_terms: Optional[int] = None,
-    eps_tail: Optional[float] = None,
 ) -> int:
     """Run the full pipeline and write the report and CSVs to output_dir.
 
     One pass: each selected root's report line is appended as its series is
-    built, roots.csv and report.txt are written once after the last root, and
-    the exit code and its stderr line are chosen once, after that write.
+    built, every file is written once after the last root, and the exit code
+    and its stderr line are chosen once, after that write.  An OSError while
+    creating output_dir or writing a file prints ``error: cannot write
+    output: ...`` and exits 2.
     """
     try:
         spec = load_spec(spec_path)
         eq = build_equation(spec)
         x_min, x_max, xs = _domain_grid(spec)
-        c0, n_terms_max, tail_eps = _options(spec, max_terms, eps_tail)
+        c0, n_terms_max, tail_eps = _options(spec)
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -304,8 +307,6 @@ def solve_command(
         warning_lines.append(f"[W_ROOT_SEARCH] {w.message}")
     roots = screen_collisions(roots, plan)
 
-    output_dir.mkdir(parents=True, exist_ok=True)
-
     report += ["", "roots:"]
     for k, root in enumerate(roots):
         extra = f" (collides after {root.collision_step} steps)" if root.collision_step else ""
@@ -343,6 +344,7 @@ def solve_command(
     if selected:
         report += ["", "series solutions:"]
     built = converged = 0
+    files: Dict[str, str] = {}  # written once, after the last root
     x_cells = [_fmt(x) for x in xs]  # shared by every solution and residual CSV
     for k in selected:
         try:
@@ -382,21 +384,18 @@ def solve_command(
             f"tail_estimate = {trunc.tail_estimate!r}  converged = {trunc.converged}  "
             f"max |residual| on grid = {max(map(abs, res_vals))!r}"
         )
-        _write_csv(
-            output_dir / f"coefficients_{k}.csv",
+        files[f"coefficients_{k}.csv"] = _csv(
             ["n", "c_n", "exponent"],
             [
                 [str(n), _fmt(cn), _fmt(sol.exponent(n))]
                 for n, cn in enumerate(sol.coefficients)
             ],
         )
-        _write_csv(
-            output_dir / f"solution_{k}.csv",
+        files[f"solution_{k}.csv"] = _csv(
             ["x", "u"],
             [[x, _fmt(u)] for x, u in zip(x_cells, u_vals)],
         )
-        _write_csv(
-            output_dir / f"residual_{k}.csv",
+        files[f"residual_{k}.csv"] = _csv(
             ["x", "residual"],
             [[x, _fmt(v)] for x, v in zip(x_cells, res_vals)],
         )
@@ -411,8 +410,7 @@ def solve_command(
                 report.append(f"  root [{k}]: {oracle_line}")
 
     # roots.csv carries the statuses the series build left
-    _write_csv(
-        output_dir / "roots.csv",
+    files["roots.csv"] = _csv(
         ["gamma", "status", "collision_step", "G"],
         [
             [
@@ -425,7 +423,14 @@ def solve_command(
     )
     report += ["", "warnings:" if warning_lines else "warnings: none"]
     report += [f"  {line}" for line in warning_lines] + [""]
-    (output_dir / "report.txt").write_text("\n".join(report), encoding="utf-8")
+    files["report.txt"] = "\n".join(report)
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (output_dir / name).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     if not selected and root_index is not None:
         code, error = EXIT_NO_ROOTS, f"--root {root_index} is not a valid root index"
@@ -459,17 +464,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--oracle", action="store_true",
         help="cross-check solutions against the closed-form special functions where applicable",
     )
-    solve.add_argument("--max-terms", type=int, default=None, help="override the truncation cap")
-    solve.add_argument("--eps-tail", type=float, default=None, help="override the tail tolerance")
     args = parser.parse_args(argv)  # "solve" is the one, required, subcommand
-    return solve_command(
-        args.spec,
-        args.output_dir,
-        root_index=args.root,
-        oracle=args.oracle,
-        max_terms=args.max_terms,
-        eps_tail=args.eps_tail,
-    )
+    return solve_command(args.spec, args.output_dir, root_index=args.root, oracle=args.oracle)
 
 
 def entrypoint() -> None:

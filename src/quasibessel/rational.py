@@ -1,30 +1,27 @@
-"""Exact rational arithmetic for shifting indices and step computation.
+"""Exact parsing of shifting indices into fractions.
 
 Shifting indices, the power on the zeroth-order factor, and the series step
 must sit on a common lattice, so they are carried as exact fractions from the
-moment they are parsed.  Inputs arrive as decimal strings or integer pairs;
-binary floats are rejected because recovering the intended fraction from a
-float is ill-posed.  Python integers are arbitrary precision, so none of the
-operations here can overflow.
+moment they are parsed.  Inputs arrive as decimal strings, integers or
+Fractions; binary floats are rejected because recovering the intended
+fraction from a float is ill-posed.  The lattice itself (N_LCD and N_gcf) is
+built by ``series.compute_step`` with ``math.lcm`` and ``math.gcd`` on these
+fractions; Python integers are arbitrary precision, so none of it can
+overflow.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "parse_decimal",
     "as_rational",
-    "lcd",
-    "gcf",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 # optional sign, integer digits, optional fractional part ("3", "-2.1", "0.80")
@@ -66,21 +63,3 @@ def as_rational(value: RationalLike) -> Fraction:
             "or a Fraction so the value stays exact"
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
-
-
-def lcd(values: Iterable[Fraction]) -> int:
-    """Least common denominator of a non-empty collection of fractions."""
-    dens = [v.denominator for v in values]
-    if not dens:
-        raise ValueError("lcd() of an empty collection")
-    return math.lcm(*dens)
-
-
-def gcf(values: Iterable[int]) -> int:
-    """Greatest common factor of a non-empty collection of positive integers."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("gcf() of an empty collection")
-    if any(v <= 0 for v in vals):
-        raise ValueError(f"gcf() expects positive integers, got {vals}")
-    return math.gcd(*vals)

@@ -50,7 +50,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
 from .gammafn import gamma_ratio
-from .rational import gcf, lcd
 
 __all__ = [
     "StepPlan",
@@ -167,13 +166,12 @@ def compute_step(eq: QuasiBesselEquation) -> StepPlan:
             "fold it into nu_squared"
         )
     shifted = [(i, eq.terms[i].p) for i in eq.shifted_indices]
-    values = [eq.beta] + [p for _, p in shifted]
-    n_lcd = lcd(values)
+    n_lcd = math.lcm(eq.beta.denominator, *(p.denominator for _, p in shifted))
     raw_beta = eq.beta * n_lcd
     raw_p = {i: p * n_lcd for i, p in shifted}
     assert raw_beta.denominator == 1 and all(v.denominator == 1 for v in raw_p.values())
     shifts = [int(raw_beta)] + [int(v) for v in raw_p.values()]
-    n_gcf = gcf(shifts)
+    n_gcf = math.gcd(*shifts)
     return StepPlan(
         s=Fraction(n_gcf, n_lcd),
         n_beta=int(raw_beta) // n_gcf,
@@ -477,7 +475,11 @@ def frac_derivative_power(kind: DerivativeKind, alpha: float, exponent: float) -
 
 def _fold(eq: QuasiBesselEquation, sol: SeriesSolution) -> Tuple[List[float], float]:
     """The residual's slots F_M, ..., F_0 (top first), each summed exactly
-    rounded, and the sum of the absolute values summed into F_0."""
+    rounded, and the sum of the absolute values summed into F_0.  An empty
+    coefficient list has no slots: u = 0 solves the linear homogeneous
+    equation, so its residual is exactly 0.0."""
+    if not sol.coefficients:
+        return [], 0.0
     plan = compute_step(eq)
     shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
     rules = [(t.d, _power_rule(eq.kind, t.alpha, sol.gamma, sol.s, sol.ratios)) for t in eq.terms]

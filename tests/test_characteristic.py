@@ -99,16 +99,14 @@ def test_find_roots_refinement():
             assert abs(characteristic_value(eq, root.gamma)) < 1e-8 * (1 + eq.nu_squared)
 
 
-def test_find_roots_grid_refinement_stability():
+def test_find_roots_grid_refinement_stability(monkeypatch):
     eq = example1(2.0)
     coarse = find_roots(eq)
-    fine = find_roots(eq, grid_points=20_000)
+    monkeypatch.setattr(quasibessel.characteristic, "GRID_POINTS", 20_000)
+    fine = find_roots(eq)
     assert len(fine) >= len(coarse)
     for old in coarse:
         assert any(abs(new.gamma - old.gamma) < 1e-9 for new in fine)
-    for bad in (0, -5):
-        with pytest.raises(ValueError, match=f"grid_points={bad} must be at least 1"):
-            find_roots(eq, grid_points=bad)
 
 
 def test_find_roots_first_cell_above_pole():
@@ -364,10 +362,11 @@ def test_grid_values_bit_identical_to_characteristic_value(case):
     assert _outcome(_grid_values, eq, grid) == scalar
 
 
-# find_roots as it was before the batched grid, verbatim apart from the name
-# and the docstring: one characteristic_value call per point of the whole
-# fine grid.
-def _scalar_find_roots(eq, search_hi=None, grid_points=GRID_POINTS):
+# find_roots as it was before the batched grid, verbatim apart from the name,
+# the docstring and the resolution, which it reads from GRID_POINTS as
+# find_roots does: one characteristic_value call per point of the whole fine
+# grid.
+def _scalar_find_roots(eq, search_hi=None):
     if eq.m1 == 0:
         warnings.warn(
             RootSearchWarning(
@@ -386,8 +385,8 @@ def _scalar_find_roots(eq, search_hi=None, grid_points=GRID_POINTS):
 
     attempts = _MAX_DOUBLINGS if search_hi is None else 0
     while True:
-        step = (hi - floor) / grid_points
-        grid = [floor + i * step for i in range(1, grid_points + 1)]
+        step = (hi - floor) / GRID_POINTS
+        grid = [floor + i * step for i in range(1, GRID_POINTS + 1)]
         if grid[0] > first:
             grid.insert(0, first)
         values = [characteristic_value(eq, g) for g in grid]
@@ -410,7 +409,7 @@ def _scalar_find_roots(eq, search_hi=None, grid_points=GRID_POINTS):
         warnings.warn(
             RootSearchWarning(
                 f"no sign change of G(gamma) found on ({floor:.3g}, {hi:.6g}] "
-                f"with {grid_points} samples"
+                f"with {GRID_POINTS} samples"
             )
         )
     roots.sort(key=lambda root: root.gamma)

@@ -156,8 +156,9 @@ def test_malformed_spec_files(tmp_path, capsys):
 
     capsys.readouterr()
     out = tmp_path / "capped"
-    assert solve_command(write_spec(tmp_path, EXAMPLE1_SPEC), out, max_terms=0) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: n_terms_max (--max-terms) must be >= 1, got 0\n"
+    capped = dict(EXAMPLE1_SPEC, options={"n_terms_max": 0})
+    assert solve_command(write_spec(tmp_path, capped), out) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: n_terms_max must be >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -542,8 +543,75 @@ def test_csv_line_endings(tmp_path):
 def test_main_entrypoint(tmp_path):
     spec = write_spec(tmp_path, EXAMPLE1_SPEC)
     out = tmp_path / "out"
-    assert main(["solve", str(spec), "-o", str(out), "--max-terms", "1500"]) == EXIT_OK
+    assert main(["solve", str(spec), "-o", str(out)]) == EXIT_OK
     assert main(["solve", str(spec), "-o", str(out), "--root", "1"]) == EXIT_OK
+
+
+def test_settings_come_from_the_spec_only(tmp_path, capsys):
+    # the truncation cap and the tail tolerance have no command-line override
+    spec = write_spec(tmp_path, EXAMPLE1_SPEC)
+    for flag, value in (("--max-terms", "1500"), ("--eps-tail", "1e-10")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(spec), "-o", str(tmp_path / "out"), flag, value])
+        assert exc.value.code == EXIT_VALIDATION
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["afile", "afile/sub"])
+def test_unwritable_output_dir_exits_2_with_one_line(tmp_path, capsys, target):
+    # an existing file where the output directory, or its parent, should be
+    (tmp_path / "afile").write_text("keep")
+    spec = write_spec(tmp_path, EXAMPLE1_SPEC)
+    assert main(["solve", str(spec), "-o", str(tmp_path / target)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(tmp_path / "afile") in err
+    assert (tmp_path / "afile").read_text() == "keep"
+
+
+R2_SPEC = {
+    "kind": "riemann_liouville",
+    "form": "quasi_bessel",
+    "terms": [{"d": "1", "alpha": "1.5"}, {"d": "0.5", "alpha": "0.5", "p": "0.5"}],
+    "beta": "1",
+    "nu": "1.3",
+    "r": "2",
+    "domain": {"x_min": "0.1", "x_max": "2", "n_points": 5},
+}
+
+
+def test_common_factor_r_writes_the_files_of_its_r1_restatement(tmp_path):
+    # p and beta are in units of r: p 0.5 and beta 1 at r = 2 are p 1 and
+    # beta 2 at r = 1, and only report.txt, which prints r, p and the step
+    # plan, may tell them apart
+    restated = dict(
+        R2_SPEC, r="1", beta="2",
+        terms=[{"d": "1", "alpha": "1.5"}, {"d": "0.5", "alpha": "0.5", "p": "1"}],
+    )
+    outs = []
+    for name, spec in (("r2.json", R2_SPEC), ("r1.json", restated)):
+        outs.append(tmp_path / name.replace(".json", ""))
+        assert solve_command(write_spec(tmp_path, spec, name), outs[-1]) == EXIT_OK
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {"roots.csv", "coefficients_0.csv", "coefficients_1.csv"} <= set(names)
+    for name in names:
+        if name != "report.txt":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_irrational_common_factor_r(tmp_path):
+    out = tmp_path / "out"
+    spec = dict(R2_SPEC, r="1.4142135623730951")
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_OK
+    roots = read_csv(out / "roots.csv")
+    assert [r["status"] for r in roots] == ["valid", "valid"]
+    report = (out / "report.txt").read_text()
+    assert "step s*r = 0.7071067811865476" in report
+    assert report.count("converged = True") == 2
+    for k in range(2):
+        assert max(abs(float(r["residual"])) for r in read_csv(out / f"residual_{k}.csv")) < 1e-13
 
 
 def test_divergent_spec_flagged_by_validation(tmp_path):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasibessel.rational import as_rational, gcf, lcd, parse_decimal
+from quasibessel.rational import as_rational, parse_decimal
 
 
 def test_parse_decimal_examples():
@@ -25,27 +25,3 @@ def test_as_rational_rejects_floats():
     assert as_rational(Fraction(4, 5)) == Fraction(4, 5)
     assert as_rational(3) == Fraction(3)
     assert as_rational("0.8") == Fraction(4, 5)
-
-
-def test_lcd_examples():
-    assert lcd([Fraction(4, 5), Fraction(1, 2), Fraction(2, 1)]) == 10
-    assert lcd([Fraction(3, 1), Fraction(3, 10), Fraction(3, 5)]) == 10
-    assert lcd([Fraction(1)]) == 1
-
-
-def test_gcf_examples():
-    assert gcf([30, 3, 6]) == 3
-    assert gcf([20, 8, 5]) == 1
-    assert gcf([7]) == 7
-
-
-def test_lcd_gcf_degenerate_cases():
-    with pytest.raises(ValueError):
-        lcd([])
-    with pytest.raises(ValueError):
-        gcf([])
-    with pytest.raises(ValueError):
-        gcf([4, 0])
-    # single-element identities
-    q = Fraction(7, 12)
-    assert lcd([q]) == q.denominator

@@ -36,6 +36,7 @@ from quasibessel import (
     find_roots,
     frac_derivative_power,
     from_constant_coefficients,
+    from_power_factors,
     residual,
     screen_collisions,
     series,
@@ -87,6 +88,23 @@ def test_compute_step_example1():
     assert plan.n_beta == 20
     assert plan.n_p == {1: 8, 2: 5}
     assert plan.lcd == 10 and plan.gcf == 1
+
+
+def test_common_factor_r_matches_its_r1_restatement():
+    # x^0.5 D^1.5 u + 0.5 D^0.5 u + x u = 0 in units of r = 2, and as r = 1:
+    # the lattices differ (s = 1/4 and 1/2, N_LCD = 4 and 2), the step s*r,
+    # the roots and every coefficient do not
+    eq = from_power_factors([(1, "0.25", "0.75"), (0.5, "0", "0.25")], delta="0.5", r=2.0)
+    ref = from_power_factors([(1, "0.5", "1.5"), (0.5, "0", "0.5")], delta="1")
+    plan, ref_plan = compute_step(eq), compute_step(ref)
+    assert (plan.s, plan.lcd, ref_plan.s, ref_plan.lcd) == (Fraction(1, 4), 4, Fraction(1, 2), 2)
+    assert plan.step_value == ref_plan.step_value == 0.5
+    roots = screen_collisions(find_roots(eq), plan)
+    assert roots == screen_collisions(find_roots(ref), ref_plan)
+    assert [r.gamma for r in roots if r.is_valid] == [0.5]
+    sol = build_coefficients(eq, 0.5, plan, x_max=2.0)
+    assert sol.truncation.converged
+    assert sol.coefficients == build_coefficients(ref, 0.5, ref_plan, x_max=2.0).coefficients
 
 
 def test_compute_step_example3():
@@ -1107,17 +1125,19 @@ def test_residual_overflow_raises():
     # the sum is not finite at x = 1e200, before x**s overflows at 1e300:
     # each stage names the first bad point of the grid
     first_bad(eq, sol, [1.0, 1e200, 1e300], 1e200)
-    # a hand-made empty coefficient list is never multiplied: it sums to 0.0
-    # where only x**s overflows, and overflows where x**gamma does (inf * 0)
+    # a hand-made empty coefficient list is never multiplied, in either
+    # stage: it sums to 0.0 where only x**s overflows, and overflows where
+    # x**gamma does (inf * 0)
     def empty(gamma):
         return SeriesSolution(
             gamma=gamma, s=1.2, coefficients=[], c0=0.0,
             truncation=Truncation(terms_used=0, tail_estimate=0.0, converged=False),
         )
 
-    assert evaluate(empty(-0.5), [1.0, 1e300, math.inf]) == [0.0, 0.0, 0.0]
-    with pytest.raises(OverflowError, match=r"^series overflows at x = 1e\+300$"):
-        evaluate(empty(ex1.gamma), [1.0, 1e300])
+    # u = 0 solves the linear homogeneous equation: the residual is exactly 0.0
+    for stage in (evaluate, lambda sol, xs: residual(eq, sol, xs)):
+        assert stage(empty(-0.5), [1.0, 1e300, math.inf]) == [0.0, 0.0, 0.0]
+    first_bad(eq, empty(ex1.gamma), [1.0, 1e300], 1e300)
 
 
 def test_gamma_ratio_overflow_names_the_derivative():
