@@ -15,10 +15,11 @@ whose ends share a sign), and the first and last cell.  Window doublings are
 decided from the top 20 fine points alone.  Undetected: tangential roots, and
 two roots in one cell when G turns twice within three coarse cells.  Every
 batch goes through ``_grid_values``: where both Gamma arguments are at least
-TAU_POLE the ratio is exp(lgamma(1+gamma) - lgamma(1+gamma-alpha)), computed
-by C-level ``map`` chains, and every other point goes through ``gamma_ratio``
-as the scalar ``characteristic_value`` does, so each value is bit-identical
-to it and each kept bracket gives the root the full fine scan gives.
+TAU_POLE the ratio is exp(lgamma(1+gamma) - lgamma(1+gamma-alpha)), with
+lgamma(1+gamma) shared by every term, and every other point goes through
+``gamma_ratio`` as the scalar ``characteristic_value`` does, so each value is
+bit-identical to it and each kept bracket gives the root the full fine scan
+gives.
 Bisection calls the scalar ``characteristic_value``, which stays the
 definition of G.  When a single pure Bessel term meets nu = 0 the roots are
 known in closed form -- gamma = alpha - k for integers k >= 1 down to the -1
@@ -38,11 +39,8 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat
 from typing import List, Optional, Sequence
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
@@ -112,39 +110,33 @@ def characteristic_value(eq: QuasiBesselEquation, gamma: float) -> float:
 
 
 def _grid_values(eq: QuasiBesselEquation, grid: Sequence[float]) -> List[float]:
-    """G at every point of an ascending grid, each value bit-identical to
-    ``characteristic_value`` at that point.
+    """G at every point of a grid of gamma > -1, in any order, each value
+    bit-identical to ``characteristic_value`` at that point.
 
-    Each total is built with the same operations in the same order, -nu^2
-    then + d_i * ratio_i per pure term, and the lazy ``map`` chains evaluate
-    point by point, so a pole raises at the same point as the scalar loop.
-    At and above a term's cut (the first grid index where both 1+gamma and
-    1+gamma-alpha are >= TAU_POLE) ``gamma_ratio`` reduces to
-    exp(lgamma(1+gamma) - lgamma(1+gamma-alpha)); below it, and at every
-    point of an integer-order term (the falling-product path), the ratio
-    comes from ``gamma_ratio`` itself.
+    Each total is -nu^2, then + d_i * Q_i per pure term in ``pure_indices``
+    order, the operations and order of the scalar loop.  Where 1+gamma-alpha_i
+    >= TAU_POLE, Q_i = exp(lgamma(1+gamma) - lgamma(1+gamma-alpha_i)), which is
+    what ``gamma_ratio`` computes there; lgamma(1+gamma) is formed once per
+    point and shared by every term.  Below that cut (a pole of either Gamma
+    argument is near), and at every point of an integer-order term (the
+    falling-product path), Q_i comes from ``gamma_ratio`` itself, so a pole
+    raises the same error as the scalar loop.
     """
-    add, sub, mul = operator.add, operator.sub, operator.mul
-    # 1.0 + gamma as gamma_ratio forms it (adding r = 0.0 changes nothing);
-    # lgamma(1+gamma) is shared by every term, the only list kept besides the
-    # result, so memory stays flat in the number of terms
-    low = bisect_left(grid, True, key=lambda g: 1.0 + g >= TAU_POLE)
-    log_num = list(map(math.lgamma, map(add, repeat(1.0), islice(grid, low, None))))
-    values = repeat(-eq.nu_squared, len(grid))
+    # 1.0 + gamma as gamma_ratio forms it (adding r = 0.0 changes nothing)
+    xs = [1.0 + g for g in grid]
+    log_num = [math.lgamma(x) for x in xs]
+    values = [-eq.nu_squared] * len(grid)
     for i in eq.pure_indices:
-        t = eq.terms[i]
-        # alpha > 0 here, so 1+gamma-alpha >= TAU_POLE implies 1+gamma >= TAU_POLE
-        cut = len(grid) if is_integer_order(t.alpha) else bisect_left(
-            grid, True, key=lambda g: (1.0 + g) - t.alpha >= TAU_POLE
-        )
-        den_args = map(sub, map(add, repeat(1.0), islice(grid, cut, None)), repeat(t.alpha))
-        log_den = map(math.lgamma, den_args)
-        ratios = chain(
-            map(gamma_ratio, islice(grid, cut), repeat(0.0), repeat(t.alpha)),
-            map(math.exp, map(sub, islice(log_num, cut - low, None), log_den)),
-        )
-        values = map(add, values, map(mul, repeat(t.d), ratios))
-    return list(values)
+        d, alpha = eq.terms[i].d, eq.terms[i].alpha
+        # an integer order takes gamma_ratio's falling product at every point
+        cut = math.inf if is_integer_order(alpha) else TAU_POLE
+        values = [
+            v + d * math.exp(ln - math.lgamma(x - alpha))
+            if x - alpha >= cut
+            else v + d * gamma_ratio(g, 0.0, alpha)
+            for v, g, x, ln in zip(values, grid, xs, log_num)
+        ]
+    return values
 
 
 def _status_for(eq: QuasiBesselEquation, gamma: float) -> RootStatus:
@@ -266,8 +258,10 @@ def _scan_roots(
       hide two roots inside a cell whose ends share a sign; both cells next
       to the turn are kept.  The first and the last cell, with no difference
       known beyond them, are always kept.
-    - G is then computed at every fine point of the kept cells and the
-      fine pairs there are scanned as if the whole fine grid had been.
+    - G is then computed at every fine point of the kept cells in one
+      ``_grid_values`` call (an end that two kept cells share is computed
+      for each), and each cell's fine pairs are scanned as if the whole fine
+      grid had been.
 
     Values are bit-identical to ``characteristic_value`` point by point
     (``_grid_values``), so the roots are those of the full fine scan unless
@@ -299,7 +293,7 @@ def _scan_roots(
     while True:
         step = (hi - floor) / GRID_POINTS
         start = 0 if floor + step > first else 1
-        top = range(max(start, GRID_POINTS + 1 - _TOP_WINDOW), GRID_POINTS + 1)
+        top = range(GRID_POINTS + 1 - _TOP_WINDOW, GRID_POINTS + 1)
         if _tail_monotone_positive(_grid_values(eq, points(top))):
             break
         if attempts == 0:
@@ -322,26 +316,21 @@ def _scan_roots(
     # coarse point j, so cells j-1 and j are both kept; the two ends of the
     # window count as turns, since no difference is known beyond them
     turns = [True] + [not (a > 0 < b or a < 0 > b) for a, b in zip(diffs, diffs[1:])] + [True]
-    fine: List[int] = []
-    for j, (a, b) in enumerate(zip(values, values[1:])):
-        if a == 0.0 or b == 0.0 or (a < 0) != (b < 0) or turns[j] or turns[j + 1]:
-            if fine and fine[-1] == coarse[j]:
-                fine.pop()  # the right end of the kept cell just before
-            fine.extend(range(coarse[j], coarse[j + 1] + 1))
-
-    grid = points(fine)
-    fine_values = _grid_values(eq, grid)
+    cells = [
+        points(range(coarse[j], coarse[j + 1] + 1))
+        for j, (a, b) in enumerate(zip(values, values[1:]))
+        if a == 0.0 or b == 0.0 or (a < 0) != (b < 0) or turns[j] or turns[j + 1]
+    ]
+    fine_values = iter(_grid_values(eq, [g for cell in cells for g in cell]))
     roots: List[CharacteristicRoot] = []
-    for (i, g_lo, f_lo), (k, g_hi, f_hi) in zip(
-        zip(fine, grid, fine_values), zip(fine[1:], grid[1:], fine_values[1:])
-    ):
-        if k != i + 1:
-            continue  # the gap between two runs of kept cells
-        if f_lo == 0.0:
-            roots.append(CharacteristicRoot(g_lo, _status_for(eq, g_lo)))
-        elif (f_lo < 0) != (f_hi < 0):
-            g = _bisect(eq, g_lo, g_hi, f_lo)
-            roots.append(CharacteristicRoot(g, _status_for(eq, g)))
+    for cell in cells:
+        f = [next(fine_values) for _ in cell]
+        for g_lo, g_hi, f_lo, f_hi in zip(cell, cell[1:], f, f[1:]):
+            if f_lo == 0.0:
+                roots.append(CharacteristicRoot(g_lo, _status_for(eq, g_lo)))
+            elif (f_lo < 0) != (f_hi < 0):
+                g = _bisect(eq, g_lo, g_hi, f_lo)
+                roots.append(CharacteristicRoot(g, _status_for(eq, g)))
     if values[-1] == 0.0:
         g = floor + GRID_POINTS * step
         roots.append(CharacteristicRoot(g, _status_for(eq, g)))

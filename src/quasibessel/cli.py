@@ -19,7 +19,9 @@ the shifting indices survive parsing exactly.  Schema:
 The spec's ``options`` is the one source of c0, the truncation cap and the
 tail tolerance (defaults "1", series.MAX_TERMS and series.EPS_TAIL); no
 command-line flag overrides them, so the spec that report.txt names fixes
-every numerical setting of the solve.
+every numerical setting of the solve.  c0 must be finite and nonzero (c0 = 0
+gives the trivial solution u = 0), n_terms_max at least 1, and eps_tail
+finite and positive.
 
 Exit codes: 0 success (at least one valid, converged root); 2 validation
 failure, or an output directory that cannot be created or written; 3 no
@@ -205,14 +207,15 @@ def _options(spec: dict) -> Tuple[float, int, float]:
     them."""
     options = _as_object(spec.get("options", {}), "'options'")
     c0 = _as_float(options.get("c0", "1"), "c0")
-    if not math.isfinite(c0):
-        raise SpecFileError(f"c0 must be finite, got {c0!r}")
+    # c0 = 0 gives u = 0, the trivial solution, not the series of a root
+    if not math.isfinite(c0) or c0 == 0.0:
+        raise SpecFileError(f"c0 must be finite and nonzero, got {c0!r}")
     max_terms = _as_int(options.get("n_terms_max", MAX_TERMS), "n_terms_max")
     if max_terms < 1:
         raise SpecFileError(f"n_terms_max must be >= 1, got {max_terms}")
     eps_tail = _as_float(options.get("eps_tail", repr(EPS_TAIL)), "eps_tail")
-    if not eps_tail > 0:
-        raise SpecFileError(f"eps_tail must be positive, got {eps_tail!r}")
+    if not 0 < eps_tail < math.inf:
+        raise SpecFileError(f"eps_tail must be finite and positive, got {eps_tail!r}")
     return c0, max_terms, eps_tail
 
 

@@ -142,6 +142,9 @@ def test_malformed_spec_files(tmp_path, capsys):
         ("domain", dict(domain, x_min="nan")),
         ("domain", dict(domain, x_max="inf")),
         ("options", {"c0": "inf"}),
+        ("options", {"c0": "0"}),
+        ("options", {"c0": "-0"}),
+        ("options", {"eps_tail": "inf"}),
         ("kind", "foo"),
         ("kind", 5),
         ("terms", [{"d": "1", "alpha": "0", "p": "0"}]),
