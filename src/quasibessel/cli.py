@@ -34,6 +34,12 @@ the files written before it.  Every other exit 3 or 4 still writes
 roots.csv and report.txt, plus the coefficient, solution and residual CSVs
 of each root whose series was built.  A nonzero exit prints one ``error:``
 line to stderr, or one per fatal issue when validation fails.
+
+report.txt's root list and roots.csv carry the same final statuses: a root
+whose series build meets a vanishing recursion denominator reads
+``denominator_pole`` in both.  The two reduction forms share one path:
+``constant_coefficients`` is ``power_factors`` with every beta_i and delta 0,
+and both require nu = 0.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ from .equation import (
     DerivativeKind,
     QuasiBesselEquation,
     Term,
-    from_constant_coefficients,
     from_power_factors,
     nu_min_threshold,
     uniqueness_bound,
@@ -152,28 +157,22 @@ def build_equation(spec: dict) -> QuasiBesselEquation:
                 r=r,
                 kind=kind,
             )
-        if form == "constant_coefficients":
+        if form in ("constant_coefficients", "power_factors"):
             if nu != 0.0:
-                raise SpecFileError("constant_coefficients form requires nu = 0")
-            coeffs = [
-                (_as_float(_require(t, "d"), "term d"), str(_require(t, "alpha")))
-                for t in raw_terms
-            ]
-            return from_constant_coefficients(coeffs, r=r, kind=kind)
-        if form == "power_factors":
-            if nu != 0.0:
-                raise SpecFileError("power_factors form requires nu = 0")
+                raise SpecFileError(f"{form} form requires nu = 0")
+            # constant coefficients are power factors with every beta_i and
+            # delta 0, the reduction from_constant_coefficients performs
+            constant = form == "constant_coefficients"
             triples = [
                 (
                     _as_float(_require(t, "d"), "term d"),
-                    str(t.get("beta_i", "0")),
+                    "0" if constant else str(t.get("beta_i", "0")),
                     str(_require(t, "alpha")),
                 )
                 for t in raw_terms
             ]
-            return from_power_factors(
-                triples, delta=str(_require(spec, "delta")), r=r, kind=kind
-            )
+            delta = "0" if constant else str(_require(spec, "delta"))
+            return from_power_factors(triples, delta=delta, r=r, kind=kind)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, SpecFileError):
             raise
@@ -253,8 +252,9 @@ def solve_command(
     """Run the full pipeline and write the report and CSVs to output_dir.
 
     One pass: each selected root's report line is appended as its series is
-    built, every file is written once after the last root, and the exit code
-    and its stderr line are chosen once, after that write.  An OSError while
+    built, the root list is filled in from the statuses that build leaves,
+    every file is written once after the last root, and the exit code and its
+    stderr line are chosen once, after that write.  An OSError while
     creating output_dir or writing a file prints ``error: cannot write
     output: ...`` and exits 2.
     """
@@ -311,9 +311,7 @@ def solve_command(
     roots = screen_collisions(roots, plan)
 
     report += ["", "roots:"]
-    for k, root in enumerate(roots):
-        extra = f" (collides after {root.collision_step} steps)" if root.collision_step else ""
-        report.append(f"  [{k}] gamma = {root.gamma!r}  status = {root.status.value}{extra}")
+    roots_at = len(report)  # the root list goes here once every status is final
 
     # threshold and uniqueness bound (Caputo only)
     report.append("")
@@ -412,7 +410,13 @@ def solve_command(
             else:
                 report.append(f"  root [{k}]: {oracle_line}")
 
-    # roots.csv carries the statuses the series build left
+    # report.txt's root list and roots.csv carry the statuses the series
+    # build left
+    report[roots_at:roots_at] = [
+        f"  [{k}] gamma = {r.gamma!r}  status = {r.status.value}"
+        + (f" (collides after {r.collision_step} steps)" if r.collision_step else "")
+        for k, r in enumerate(roots)
+    ]
     files["roots.csv"] = _csv(
         ["gamma", "status", "collision_step", "G"],
         [

@@ -264,8 +264,8 @@ def validate(eq: QuasiBesselEquation) -> ValidationReport:
                 code="E_ZERO_BETA",
                 severity=FATAL,
                 message=(
-                    "beta = 0 puts the zeroth-order factor x^0 outside the step lattice; "
-                    "fold the constant into nu_squared instead"
+                    "beta = 0: an equation without an x^beta term (beta > 0) is not "
+                    "supported"
                 ),
             )
         )

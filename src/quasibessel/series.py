@@ -162,8 +162,7 @@ def compute_step(eq: QuasiBesselEquation) -> StepPlan:
     """Compute the maximal step and the lattice shifts for ``eq``."""
     if eq.beta == 0:
         raise ValueError(
-            "beta = 0: the zeroth-order factor is constant and defines no step; "
-            "fold it into nu_squared"
+            "beta = 0: an equation without an x^beta term (beta > 0) is not supported"
         )
     shifted = [(i, eq.terms[i].p) for i in eq.shifted_indices]
     n_lcd = math.lcm(eq.beta.denominator, *(p.denominator for _, p in shifted))

@@ -148,7 +148,15 @@ def test_malformed_spec_files(tmp_path, capsys):
         ("kind", "foo"),
         ("kind", 5),
         ("terms", [{"d": "1", "alpha": "0", "p": "0"}]),
+        ("terms", []),
         ("beta", "0"),
+        # example 1 has nu = 2, which neither reduction form accepts
+        ("form", "constant_coefficients"),
+        ("form", "power_factors"),
+        ("form", "bessel"),
+        ("domain", dict(domain, x_min="0")),
+        ("domain", dict(domain, x_max="0.05")),
+        ("domain", dict(domain, n_points=0)),
     ]
     for key, value in bad_fields:
         capsys.readouterr()
@@ -156,6 +164,13 @@ def test_malformed_spec_files(tmp_path, capsys):
         assert solve_command(spec, tmp_path / "out") == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if key == "form" and value != "bessel":
+            assert err == f"error: {value} form requires nu = 0\n"
+
+    capsys.readouterr()
+    as_list = write_spec(tmp_path, [EXAMPLE1_SPEC])
+    assert solve_command(as_list, tmp_path / "out") == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: spec file must contain a JSON object\n"
 
     capsys.readouterr()
     out = tmp_path / "capped"
@@ -163,6 +178,15 @@ def test_malformed_spec_files(tmp_path, capsys):
     assert solve_command(write_spec(tmp_path, capped), out) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: n_terms_max must be >= 1, got 0\n"
     assert not out.exists()
+
+
+def test_single_grid_point_is_x_min(tmp_path):
+    out = tmp_path / "out"
+    spec = dict(EXAMPLE1_SPEC, domain=dict(EXAMPLE1_SPEC["domain"], n_points=1))
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_OK
+    for name in ("solution_1.csv", "residual_1.csv"):
+        (row,) = read_csv(out / name)
+        assert row["x"] == "0.10000000000000001"
 
 
 def test_root_index_restriction(tmp_path):
@@ -236,6 +260,54 @@ def test_root_search_overflow_exits_numerical(tmp_path, capsys):
     assert err.startswith("error: numerical failure") and "overflow" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_root_search_without_sign_change_exits_no_roots(tmp_path, capsys):
+    # RL -x^2 D^2 u - x D u + (x - 1) u = 0: G(gamma) = -gamma(gamma - 1) -
+    # gamma - 1 = -gamma^2 - 1 is negative on the whole scan, so the window
+    # doubles three times and no root is found
+    spec = {
+        "kind": "riemann_liouville",
+        "form": "quasi_bessel",
+        "terms": [{"d": "-1", "alpha": "2", "p": "0"}, {"d": "-1", "alpha": "1", "p": "0"}],
+        "beta": "1",
+        "nu": "1",
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    }
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_NO_ROOTS
+    assert capsys.readouterr().err == (
+        "error: no valid characteristic roots; no series solution exists\n"
+    )
+    assert read_csv(out / "roots.csv") == []
+    report = (out / "report.txt").read_text()
+    assert (
+        "  [W_ROOT_SEARCH] G(gamma) is not monotone positive at the top of the last "
+        "scan window (-1, 127] after 3 doublings; roots above it are not searched\n"
+    ) in report
+    assert (
+        "  [W_ROOT_SEARCH] no sign change of G(gamma) found on (-1, 127] with 10000 samples\n"
+    ) in report
+
+
+def test_cancellation_warning_is_reported(tmp_path, capsys):
+    # Caputo u' + u = 0 on [0.1, 40]: the series of exp(-x) at x = 40 sums
+    # terms up to 40^40/40! ~ 1e16 to a value of 4e-18
+    spec = {
+        "kind": "caputo",
+        "form": "constant_coefficients",
+        "terms": [{"d": "1", "alpha": "1"}],
+        "domain": {"x_min": "0.1", "x_max": "40", "n_points": 10},
+    }
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    report = (out / "report.txt").read_text()
+    assert report.count("[W_CANCELLATION]") == 1
+    assert (
+        "  [W_CANCELLATION] root 0: series evaluation lost more than 15 digits to "
+        "cancellation (x too large for this truncation)\n"
+    ) in report
 
 
 def _decay_spec(lam: int) -> dict:
@@ -615,6 +687,30 @@ def test_irrational_common_factor_r(tmp_path):
     assert report.count("converged = True") == 2
     for k in range(2):
         assert max(abs(float(r["residual"])) for r in read_csv(out / f"residual_{k}.csv")) < 1e-13
+
+
+def test_denominator_pole_status_is_the_same_in_report_and_roots_csv(
+    tmp_path, monkeypatch, capsys
+):
+    # the root list of report.txt is written after the series build, from
+    # the statuses that roots.csv also carries
+    real = cli.build_coefficients
+
+    def pole_at_root_0(eq, gamma, *args, **kwargs):
+        if gamma < 0:  # root 0, gamma = -0.824; root 1 is gamma = 1.704
+            raise series.DenominatorPoleError(3, 0.0)
+        return real(eq, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_coefficients", pole_at_root_0)
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, dict(R2_SPEC, r="1")), out) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    statuses = [r["status"] for r in read_csv(out / "roots.csv")]
+    assert statuses == ["denominator_pole", "valid"]
+    report = (out / "report.txt").read_text()
+    roots_block = report.split("\nroots:\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.split("status = ")[1] for line in roots_block.splitlines()] == statuses
+    assert "  [W_DENOMINATOR_POLE] root 0: recursion denominator vanished at n=3" in report
 
 
 def test_divergent_spec_flagged_by_validation(tmp_path):

@@ -15,6 +15,7 @@ from quasibessel import (
     validate,
 )
 from quasibessel.equation import WARNING
+from quasibessel.series import compute_step
 
 # frozen from mpmath at 40 digits
 THRESHOLD_EX1 = 0.84628437532163443042  # 1.5/sqrt(pi)
@@ -81,6 +82,21 @@ def test_validate_rejects_equation_without_derivative(kind):
     report = validate(eq)
     assert not report.is_valid
     assert [i.code for i in report.fatal_issues] == ["E_NO_DERIVATIVE"]
+
+
+def test_zero_beta_is_reported_as_unsupported():
+    # RL x^1.5 D^1.5 u + 2 x^0.5 D^0.5 u + u = 0 reduces to beta = 0; folding
+    # the constant +1 into nu^2 would need nu^2 = -1, so neither message may
+    # suggest it
+    eq = from_power_factors([(1.0, "1.5", "1.5"), (2.0, "0.5", "0.5")], delta="0", kind=RL)
+    assert eq.beta == 0
+    (issue,) = validate(eq).fatal_issues
+    assert issue.code == "E_ZERO_BETA"
+    with pytest.raises(ValueError) as exc:
+        compute_step(eq)
+    for message in (issue.message, str(exc.value)):
+        assert "without an x^beta term" in message and "not supported" in message
+        assert "nu_squared" not in message
 
 
 def test_nu_min_threshold_inapplicable_for_integer_orders():
