@@ -7,9 +7,14 @@ The leading exponent gamma of a series solution must satisfy
 G is continuous on gamma > -1 (1/Gamma is entire), so roots are located by
 bracketing sign changes between neighbouring points of a uniform fine grid
 (10^4 steps) and refining by bisection down to two neighbouring floats, so a
-scanned root is exact to G's rounding.  G is computed on the fine grid only
-where a bracket can be: a coarse pass samples every 16th fine point and keeps
-the cells whose end values differ in sign or touch 0.0, the two cells around
+scanned root is exact to G's rounding.  One window rule: the grid spans
+(-1, hi] with hi = max(n_max, 4) + nu^(2/alpha_1) + 10, doubled up to three
+times until G is monotone positive on its top 20 fine points; no caller sets
+the window.  One zero rule: a fine point where G is exactly 0.0 is a root,
+and only a pair whose values have strictly opposite signs is bisected, so
+each zero of G is reported once.  G is computed on the fine grid only where
+a root can be: a coarse pass samples every 16th fine point and keeps the
+cells whose end values differ in sign or touch 0.0, the two cells around
 each turn of the coarse differences (an extremum can hide two roots in a cell
 whose ends share a sign), and the first and last cell.  Window doublings are
 decided from the top 20 fine points alone.  Undetected: tangential roots, and
@@ -180,7 +185,7 @@ def _bisect(eq: QuasiBesselEquation, lo: float, hi: float, f_lo: float) -> float
     return mid
 
 
-def _default_search_hi(eq: QuasiBesselEquation) -> float:
+def _first_window_top(eq: QuasiBesselEquation) -> float:
     base = float(max(eq.n_max or 0, 4))
     if eq.nu_squared > 0:
         base += eq.nu_squared ** (1.0 / eq.alpha1)
@@ -194,13 +199,13 @@ def _tail_monotone_positive(values: Sequence[float]) -> bool:
     return all(b >= a for a, b in zip(window, window[1:]))
 
 
-def find_roots(
-    eq: QuasiBesselEquation, search_hi: Optional[float] = None
-) -> List[CharacteristicRoot]:
+def find_roots(eq: QuasiBesselEquation) -> List[CharacteristicRoot]:
     """Every leading exponent the solver tries, sorted ascending: the real
     roots of G (in closed form for one pure term with nu = 0, else by
-    ``_scan_roots`` on its GRID_POINTS-step grid) and the integers of
-    ``caputo_integer_exponents``.
+    ``_scan_roots`` on its GRID_POINTS-step grid over its one window,
+    (-1, ``_first_window_top``] doubled up to ``_MAX_DOUBLINGS`` times, each
+    zero of G once) and the integers of ``caputo_integer_exponents``.  No
+    caller sets the window.
 
     A root of G within TAU_POLE of such an integer j is replaced by j, valid.
     Other Caputo roots at or below n_max - 1 + CAPUTO_FLOOR_WIDTH (1e-12,
@@ -217,7 +222,7 @@ def find_roots(
     if eq.nu_squared == 0.0 and eq.m1 == 1:
         roots = _analytic_family(eq)
     else:
-        roots = _scan_roots(eq, search_hi)
+        roots = _scan_roots(eq)
     integers = caputo_integer_exponents(eq)
     roots = [r for r in roots if all(abs(r.gamma - j) >= TAU_POLE for j in integers)]
     roots += [CharacteristicRoot(float(j)) for j in integers]
@@ -235,21 +240,32 @@ def caputo_integer_exponents(eq: QuasiBesselEquation) -> List[int]:
     return list(range(min(ceil_order(eq.terms[i].alpha) for i in eq.pure_indices)))
 
 
-def _scan_roots(
-    eq: QuasiBesselEquation, search_hi: Optional[float]
-) -> List[CharacteristicRoot]:
-    """All real roots of G on (-1 + 2*TAU_POLE, search_hi], for an equation
-    with a pure Bessel term.
+def _scan_roots(eq: QuasiBesselEquation) -> List[CharacteristicRoot]:
+    """All real roots of G on (-1 + 2*TAU_POLE, hi], for an equation with a
+    pure Bessel term, each reported once.
 
-    The fine grid runs from floor + step to search_hi in GRID_POINTS steps,
-    with floor = -1 + TAU_POLE.  GRID_POINTS is the one source of the scan
+    One window rule: hi starts at ``_first_window_top``,
+    max(n_max, 4) + nu^(2/alpha_1) + 10, and doubles (up to
+    ``_MAX_DOUBLINGS`` = 3 times) until G is monotone positive on the top
+    ``_TOP_WINDOW`` fine points, since G grows like d_1 gamma^alpha_1; only
+    those points are computed for a window that is then doubled.  If G still
+    is not monotone positive after the last doubling, a RootSearchWarning
+    names the window, since a root above it would be missed.  No caller sets
+    the window.
+
+    The fine grid runs from floor + step to hi in GRID_POINTS steps, with
+    floor = -1 + TAU_POLE.  GRID_POINTS is the one source of the scan
     resolution, the documented 10^4 steps, and the benchmark's root-scan
     generator (solvebench/specs.py) mirrors it as PROGRAM_GRID_POINTS.  One
     more sample at -1 + 2*TAU_POLE, just above the pole at -1, covers the
-    first cell (G is continuous on (-1, inf)).  Sign changes between
-    neighbouring fine points are bracketed and bisected until the bracket is
-    two neighbouring floats, but G is computed on the fine grid only where a
-    bracket can be:
+    first cell (G is continuous on (-1, inf)); the window is at least 15
+    wide, so that sample lies below floor + step.
+
+    One zero rule: a fine point where G is exactly 0.0 is a root, and a fine
+    pair is bisected only when its values have strictly opposite signs, until
+    the bracket is two neighbouring floats.  So a zero on the grid is
+    reported once, as the low end of its pair or as the window top.  G is
+    computed on the fine grid only where a root can be:
 
     - G is first computed on every ``_COARSE``-th fine point and the last
       one.  A coarse cell is kept when its end values differ in sign or one
@@ -270,46 +286,32 @@ def _scan_roots(
     when G turns twice within three coarse cells, so that the coarse
     differences do not change sign.  Bisection calls the scalar
     ``characteristic_value``.
-
-    Without an explicit ``search_hi`` the window starts at
-    max(n_max, 4) + nu^(2/alpha_1) + 10 and doubles (up to three times) until
-    G is monotone positive on the top ``_TOP_WINDOW`` fine points, since G
-    grows like d_1 gamma^alpha_1; only those points are computed for a
-    window that is then doubled.  If G still is not monotone positive after
-    the last doubling, a RootSearchWarning names the window, since a root
-    above it would be missed.
     """
     floor = -1.0 + TAU_POLE
     first = -1.0 + 2.0 * TAU_POLE
-    hi = _default_search_hi(eq) if search_hi is None else float(search_hi)
-    if hi <= floor:
-        raise ValueError(f"search_hi={hi} must exceed the lower bound {floor}")
+    hi = _first_window_top(eq)
 
     def points(indices: Sequence[int]) -> List[float]:
         # fine index i > 0 is floor + i*step; index 0 is the sample at `first`
         return [floor + i * step if i else first for i in indices]
 
-    attempts = _MAX_DOUBLINGS if search_hi is None else 0
-    while True:
+    for doublings in range(_MAX_DOUBLINGS + 1):
+        if doublings:
+            hi = floor + 2.0 * (hi - floor)
         step = (hi - floor) / GRID_POINTS
-        start = 0 if floor + step > first else 1
         top = range(GRID_POINTS + 1 - _TOP_WINDOW, GRID_POINTS + 1)
         if _tail_monotone_positive(_grid_values(eq, points(top))):
             break
-        if attempts == 0:
-            if search_hi is None:
-                warnings.warn(
-                    RootSearchWarning(
-                        f"G(gamma) is not monotone positive at the top of the last "
-                        f"scan window ({floor:.3g}, {hi:.6g}] after {_MAX_DOUBLINGS} "
-                        f"doublings; roots above it are not searched"
-                    )
-                )
-            break
-        hi = floor + 2.0 * (hi - floor)
-        attempts -= 1
+    else:
+        warnings.warn(
+            RootSearchWarning(
+                f"G(gamma) is not monotone positive at the top of the last "
+                f"scan window ({floor:.3g}, {hi:.6g}] after {_MAX_DOUBLINGS} "
+                f"doublings; roots above it are not searched"
+            )
+        )
 
-    coarse = [*range(start, GRID_POINTS, _COARSE), GRID_POINTS]
+    coarse = [*range(0, GRID_POINTS, _COARSE), GRID_POINTS]
     values = _grid_values(eq, points(coarse))
     diffs = [b - a for a, b in zip(values, values[1:])]
     # turns[j]: the coarse differences do not keep one strict sign across
@@ -328,7 +330,7 @@ def _scan_roots(
         for g_lo, g_hi, f_lo, f_hi in zip(cell, cell[1:], f, f[1:]):
             if f_lo == 0.0:
                 roots.append(CharacteristicRoot(g_lo, _status_for(eq, g_lo)))
-            elif (f_lo < 0) != (f_hi < 0):
+            elif f_lo < 0 < f_hi or f_hi < 0 < f_lo:
                 g = _bisect(eq, g_lo, g_hi, f_lo)
                 roots.append(CharacteristicRoot(g, _status_for(eq, g)))
     if values[-1] == 0.0:

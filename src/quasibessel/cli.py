@@ -16,6 +16,21 @@ the shifting indices survive parsing exactly.  Schema:
       "options": {"c0": "...", "n_terms_max": int, "eps_tail": "..."}
     }
 
+Each form reads these fields and no others:
+
+    quasi_bessel           kind, form, terms, r, domain, options, beta, nu;
+                           each term d, alpha, p
+    constant_coefficients  kind, form, terms, r, domain, options, nu;
+                           each term d, alpha
+    power_factors          kind, form, terms, r, domain, options, delta, nu;
+                           each term d, alpha, beta_i
+
+plus x_min, x_max and n_points in ``domain`` and c0, n_terms_max and
+eps_tail in ``options``.  Each term must be a JSON object.  Any other field,
+at any level, exits 2 with one line that names the field and its level, so
+a misspelt or misplaced field is never silently ignored; this check runs
+after every other check of the spec.
+
 The spec's ``options`` is the one source of c0, the truncation cap and the
 tail tolerance (defaults "1", series.MAX_TERMS and series.EPS_TAIL); no
 command-line flag overrides them, so the spec that report.txt names fixes
@@ -137,6 +152,7 @@ def build_equation(spec: dict) -> QuasiBesselEquation:
     raw_terms = _require(spec, "terms")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise SpecFileError("'terms' must be a non-empty list")
+    raw_terms = [_as_object(t, "each term") for t in raw_terms]
     r = _as_float(spec.get("r", "1"), "r")
     nu = _as_float(spec.get("nu", "0"), "nu")
     try:
@@ -218,6 +234,33 @@ def _options(spec: dict) -> Tuple[float, int, float]:
     return c0, max_terms, eps_tail
 
 
+# the fields each form reads, at the top level and in each term
+_TOP_FIELDS = {"kind", "form", "terms", "r", "domain", "options"}
+_FORM_FIELDS = {
+    "quasi_bessel": (_TOP_FIELDS | {"beta", "nu"}, {"d", "alpha", "p"}),
+    "constant_coefficients": (_TOP_FIELDS | {"nu"}, {"d", "alpha"}),
+    "power_factors": (_TOP_FIELDS | {"delta", "nu"}, {"d", "alpha", "beta_i"}),
+}
+
+
+def _check_fields(spec: dict) -> None:
+    """Reject a field that the spec's form does not read, at any level, so
+    that a misspelt or misplaced field is not silently ignored.  Runs after
+    every other check of the spec, which leaves the form known and each
+    level an object."""
+    top, term = _FORM_FIELDS[spec["form"]]
+    levels = [
+        (spec, top, f"the top level of a {spec['form']} spec"),
+        *((t, term, f"a term of a {spec['form']} spec") for t in spec["terms"]),
+        (spec["domain"], {"x_min", "x_max", "n_points"}, "'domain'"),
+        (spec.get("options", {}), {"c0", "n_terms_max", "eps_tail"}, "'options'"),
+    ]
+    for fields, allowed, level in levels:
+        for name in fields:
+            if name not in allowed:
+                raise SpecFileError(f"unknown field {name!r} in {level}")
+
+
 def _csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     # every field is a number, an integer, a status word or empty, so none
     # needs quoting
@@ -263,6 +306,7 @@ def solve_command(
         eq = build_equation(spec)
         x_min, x_max, xs = _domain_grid(spec)
         c0, n_terms_max, tail_eps = _options(spec)
+        _check_fields(spec)
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -39,7 +39,7 @@ from quasibessel.characteristic import (
     RootSearchWarning,
     _analytic_family,
     _bisect,
-    _default_search_hi,
+    _first_window_top,
     _grid_values,
     _status_for,
     _tail_monotone_positive,
@@ -139,10 +139,6 @@ def test_find_roots_warns_when_doubling_budget_runs_out():
         roots = find_roots(eq)
     assert len(roots) == 1
     assert characteristic_value(eq, 622.182) < 0
-    # an explicit window is the caller's choice and is not second-guessed
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert len(find_roots(eq, search_hi=100.0)) == 1
 
 
 def test_find_roots_terminates_on_root_above_float_resolution():
@@ -366,9 +362,12 @@ def test_grid_values_bit_identical_to_characteristic_value(case):
 
 
 # find_roots as it was before the batched grid, verbatim apart from the name,
-# the docstring and the resolution, which it reads from GRID_POINTS as
-# find_roots does: one characteristic_value call per point of the whole fine
-# grid.
+# the docstring, the resolution, which it reads from GRID_POINTS as
+# find_roots does, and the zero rule, which bisects a pair only when its
+# values have strictly opposite signs as find_roots does: one
+# characteristic_value call per point of the whole fine grid.  Unlike
+# find_roots it takes a window: search_hi is (-1, search_hi] with no
+# doubling.
 def _scalar_find_roots(eq, search_hi=None):
     if eq.m1 == 0:
         warnings.warn(
@@ -382,7 +381,7 @@ def _scalar_find_roots(eq, search_hi=None):
 
     floor = -1.0 + TAU_POLE
     first = -1.0 + 2.0 * TAU_POLE
-    hi = _default_search_hi(eq) if search_hi is None else float(search_hi)
+    hi = _first_window_top(eq) if search_hi is None else float(search_hi)
     if hi <= floor:
         raise ValueError(f"search_hi={hi} must exceed the lower bound {floor}")
 
@@ -402,7 +401,7 @@ def _scalar_find_roots(eq, search_hi=None):
     for (g_lo, f_lo), (g_hi, f_hi) in zip(zip(grid, values), zip(grid[1:], values[1:])):
         if f_lo == 0.0:
             roots.append(CharacteristicRoot(g_lo, _status_for(eq, g_lo)))
-        elif (f_lo < 0) != (f_hi < 0):
+        elif f_lo < 0 < f_hi or f_hi < 0 < f_lo:
             g = _bisect(eq, g_lo, g_hi, f_lo)
             roots.append(CharacteristicRoot(g, _status_for(eq, g)))
     if values and values[-1] == 0.0:
@@ -417,6 +416,15 @@ def _scalar_find_roots(eq, search_hi=None):
         )
     roots.sort(key=lambda root: root.gamma)
     return roots
+
+
+def _find_roots_up_to(eq, hi):
+    """find_roots on the one window (-1, hi]: the first window top patched
+    to hi, and no doubling."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quasibessel.characteristic, "_first_window_top", lambda eq: hi)
+        patch.setattr(quasibessel.characteristic, "_MAX_DOUBLINGS", 0)
+        return find_roots(eq)
 
 
 @pytest.mark.parametrize(
@@ -470,9 +478,9 @@ def _scalar_find_roots(eq, search_hi=None):
             ),
             None,
         ),
-        # G(-0.5) is exactly 0.0 (both denominators at a pole) at a coarse
-        # point where G rises through zero: the exact root and the bisected
-        # one from the cell below are both reported
+        # G is exactly 0.0 (both denominators at a pole) at a coarse point
+        # where G rises through zero: the zero is reported once, as the low
+        # end of its fine pair, and the cell below it is not bisected
         (
             QuasiBesselEquation(
                 terms=(Term(1.0, 1.5), Term(3.0, 0.5)), beta="1", nu_squared=0.0, kind=RL
@@ -516,9 +524,31 @@ def _scalar_find_roots(eq, search_hi=None):
 def test_find_roots_matches_scalar_grid_loop(eq, search_hi):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RootSearchWarning)
-        roots = find_roots(eq, search_hi)
+        roots = find_roots(eq) if search_hi is None else _find_roots_up_to(eq, search_hi)
         assert roots
         assert roots == _scalar_find_roots(eq, search_hi)
+
+
+@pytest.mark.parametrize(
+    "hi, gamma",
+    [(11.5, -0.49999999904000003), (-0.5, -0.5)],
+    ids=["zero-inside-window", "zero-at-window-top"],
+)
+def test_exact_zero_of_G_is_reported_once(hi, gamma):
+    # RL D^1.5 u + 3 D^0.5 u: G(gamma) is exactly 0.0 wherever both
+    # denominators Gamma(gamma - 0.5) and Gamma(gamma + 0.5) count as poles,
+    # within TAU_POLE of -0.5.  With the window (-1, 11.5] a fine point
+    # lands there; with (-1, -0.5] it is the window top.  Either way the
+    # zero is one root, and the fine pair below it, whose values are
+    # negative and 0.0, is not bisected into a second one
+    eq = QuasiBesselEquation(
+        terms=(Term(1.0, 1.5), Term(3.0, 0.5)), beta="1", nu_squared=0.0, kind=RL
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RootSearchWarning)
+        roots = _find_roots_up_to(eq, hi)
+    assert [r.gamma for r in roots] == [gamma]
+    assert characteristic_value(eq, gamma) == 0.0
 
 
 @st.composite
@@ -565,4 +595,4 @@ def _near_extremum_equation(draw):
 def test_find_roots_matches_scalar_grid_loop_near_extremum(eq):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RootSearchWarning)
-        assert find_roots(eq, 15.0) == _scalar_find_roots(eq, 15.0)
+        assert _find_roots_up_to(eq, 15.0) == _scalar_find_roots(eq, 15.0)

@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from quasibessel import characteristic, cli, series, specialfn
+from quasibessel import __version__, characteristic, cli, series, specialfn
 from quasibessel.cli import (
     EXIT_NO_ROOTS,
     EXIT_NUMERICAL,
@@ -47,6 +50,36 @@ ML_SPEC = {
     "terms": [{"d": "-2", "alpha": "0.7"}],
     "domain": {"x_min": "0.1", "x_max": "1.5", "n_points": 15},
 }
+
+# Caputo u' + u = 0 on [0.1, 1]
+EXP_SPEC = {
+    "kind": "caputo",
+    "form": "constant_coefficients",
+    "terms": [{"d": "1", "alpha": "1"}],
+    "domain": {"x_min": "0.1", "x_max": "1", "n_points": 10},
+}
+
+# RL -x^2 D^2 u - x D u + (x - 1) u = 0: G(gamma) = -gamma(gamma - 1) -
+# gamma - 1 = -gamma^2 - 1 is negative on the whole scan
+NO_SIGN_SPEC = {
+    "kind": "riemann_liouville",
+    "form": "quasi_bessel",
+    "terms": [{"d": "-1", "alpha": "2", "p": "0"}, {"d": "-1", "alpha": "1", "p": "0"}],
+    "beta": "1",
+    "nu": "1",
+    "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+}
+
+
+def _example4_spec(x_max: float) -> dict:
+    # D_R^0.5 u = 2 x^0.7 u on [x_max/16, x_max]
+    return {
+        "kind": "riemann_liouville",
+        "form": "power_factors",
+        "terms": [{"d": "-0.5", "beta_i": "0", "alpha": "0.5"}],
+        "delta": "0.7",
+        "domain": {"x_min": repr(x_max / 16), "x_max": repr(x_max), "n_points": 16},
+    }
 
 
 def write_spec(tmp_path: Path, spec: dict, name: str = "spec.json") -> Path:
@@ -167,6 +200,33 @@ def test_malformed_spec_files(tmp_path, capsys):
         if key == "form" and value != "bessel":
             assert err == f"error: {value} form requires nu = 0\n"
 
+    # values that the equation's own checks reject, each with its exact line
+    term = EXAMPLE1_SPEC["terms"][0]
+    ex4 = _example4_spec(2.0)
+    term4 = ex4["terms"][0]
+    bad_values = [
+        (dict(EXAMPLE1_SPEC, terms=[dict(term, d="inf")]),
+         "term coefficient must be finite, got inf"),
+        (dict(EXAMPLE1_SPEC, terms=[dict(term, alpha="-1")]),
+         "derivative order must be finite and >= 0, got -1.0"),
+        (dict(EXAMPLE1_SPEC, terms=[dict(term, p="-0.5")]),
+         "shifting index must be >= 0, got -1/2"),
+        (dict(EXAMPLE1_SPEC, beta="-1"), "beta must be >= 0, got -1"),
+        (dict(EXAMPLE1_SPEC, nu="1e200"), "nu_squared must be finite and >= 0, got inf"),
+        (dict(EXAMPLE1_SPEC, r="0"), "common factor r must be finite and > 0, got 0.0"),
+        (dict(ex4, terms=[dict(term4, beta_i="1")]),
+         "need alpha_1 >= beta_1, got alpha_1=1/2, beta_1=1"),
+        (dict(ex4, delta="-1"), "delta must be >= 0, got -1"),
+        (dict(ex4, terms=[term4, dict(term4, alpha="0")]),
+         "derivative orders must be positive, got 0"),
+        (dict(ML_SPEC, terms=[{"d": "1", "alpha": "0"}]),
+         "highest derivative order must be positive, got 0"),
+    ]
+    for spec, message in bad_values:
+        capsys.readouterr()
+        assert solve_command(write_spec(tmp_path, spec), tmp_path / "out") == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: bad equation spec: {message}\n"
+
     capsys.readouterr()
     as_list = write_spec(tmp_path, [EXAMPLE1_SPEC])
     assert solve_command(as_list, tmp_path / "out") == EXIT_VALIDATION
@@ -177,6 +237,36 @@ def test_malformed_spec_files(tmp_path, capsys):
     capped = dict(EXAMPLE1_SPEC, options={"n_terms_max": 0})
     assert solve_command(write_spec(tmp_path, capped), out) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: n_terms_max must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        (dict(EXP_SPEC, Nu="2"),
+         "unknown field 'Nu' in the top level of a constant_coefficients spec"),
+        (dict(EXP_SPEC, beta="1"),
+         "unknown field 'beta' in the top level of a constant_coefficients spec"),
+        (dict(EXP_SPEC, options={"n_terms_mx": 3}), "unknown field 'n_terms_mx' in 'options'"),
+        (dict(EXP_SPEC, domain=dict(EXP_SPEC["domain"], dx="0.1")),
+         "unknown field 'dx' in 'domain'"),
+        (dict(_example4_spec(2.0), terms=[{"d": "-0.5", "alpha": "0.5", "p": "1"}]),
+         "unknown field 'p' in a term of a power_factors spec"),
+        (dict(EXAMPLE1_SPEC, terms=[{"d": "1.5", "alpha": "1.5", "beta_i": "0"}]),
+         "unknown field 'beta_i' in a term of a quasi_bessel spec"),
+        (dict(EXAMPLE1_SPEC, delta="0"),
+         "unknown field 'delta' in the top level of a quasi_bessel spec"),
+        (dict(EXP_SPEC, terms=[3]), "each term must be a JSON object, got 3"),
+    ],
+    ids=[
+        "misspelt-top-level", "other-forms-top-level", "misspelt-option", "domain",
+        "other-forms-term", "quasi-bessel-term", "quasi-bessel-top-level", "term-not-an-object",
+    ],
+)
+def test_field_that_the_form_does_not_read_exits_2(tmp_path, capsys, spec, error):
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
 
@@ -251,6 +341,29 @@ def test_uniqueness_bound_overflow_reported_as_inf(tmp_path):
     assert "[W_OVERFLOW] root 1: series overflows at x = 3.4482758620689656e+298\n" in report
 
 
+def test_exact_zero_of_G_is_written_as_one_root(tmp_path):
+    # RL x^8.5 D^8.5 u + 3 x^0.5 D^0.5 u + x u = 0: both denominators of G
+    # count as Gamma poles within TAU_POLE of gamma = -0.5, so G is exactly
+    # 0.0 at the fine point -0.49999999902499997.  That zero is one root:
+    # the fine pair below it, negative and 0.0, is not bisected into another
+    spec = {
+        "kind": "riemann_liouville",
+        "form": "quasi_bessel",
+        "terms": [{"d": "1", "alpha": "8.5", "p": "0"}, {"d": "3", "alpha": "0.5", "p": "0"}],
+        "beta": "1",
+        "nu": "0",
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    }
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_OK
+    rows = read_csv(out / "roots.csv")
+    near = [r for r in rows if abs(float(r["gamma"]) + 0.5) <= 1e-9]
+    assert [(r["gamma"], r["status"], r["G"]) for r in near] == [
+        ("-0.49999999902499997", "valid", "0"),
+    ]
+    assert len(rows) == 9 and all(r["status"] == "valid" for r in rows)
+
+
 def test_root_search_overflow_exits_numerical(tmp_path, capsys):
     # Gamma(1+gamma)/Gamma(1+gamma-400.5) overflows on the scan grid
     spec = dict(EXAMPLE1_SPEC, terms=[{"d": "1", "alpha": "400.5", "p": "0"}])
@@ -263,19 +376,10 @@ def test_root_search_overflow_exits_numerical(tmp_path, capsys):
 
 
 def test_root_search_without_sign_change_exits_no_roots(tmp_path, capsys):
-    # RL -x^2 D^2 u - x D u + (x - 1) u = 0: G(gamma) = -gamma(gamma - 1) -
-    # gamma - 1 = -gamma^2 - 1 is negative on the whole scan, so the window
-    # doubles three times and no root is found
-    spec = {
-        "kind": "riemann_liouville",
-        "form": "quasi_bessel",
-        "terms": [{"d": "-1", "alpha": "2", "p": "0"}, {"d": "-1", "alpha": "1", "p": "0"}],
-        "beta": "1",
-        "nu": "1",
-        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
-    }
+    # G = -gamma^2 - 1 < 0, so the window doubles three times and no root is
+    # found
     out = tmp_path / "out"
-    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_NO_ROOTS
+    assert solve_command(write_spec(tmp_path, NO_SIGN_SPEC), out) == EXIT_NO_ROOTS
     assert capsys.readouterr().err == (
         "error: no valid characteristic roots; no series solution exists\n"
     )
@@ -322,6 +426,95 @@ def _decay_spec(lam: int) -> dict:
     }
 
 
+def test_nu_below_threshold_is_reported(tmp_path, capsys):
+    # example 1's Caputo terms at nu = 0.5: both roots lie below the Caputo
+    # floor, and nu^2 = 0.25 is below the threshold 0.846 of the guarantee
+    out = tmp_path / "out"
+    spec = write_spec(tmp_path, dict(EXAMPLE1_SPEC, nu="0.5"))
+    assert solve_command(spec, out) == EXIT_NO_ROOTS
+    capsys.readouterr()
+    report = (out / "report.txt").read_text()
+    assert (
+        "\nconvergence threshold: nu^2_min = 0.8462843753216345; nu^2 = 0.25 "
+        "is below the guarantee\n"
+    ) in report
+    assert (
+        "\n  [W_NU_BELOW_THRESHOLD] nu^2 is below the convergence threshold; the series "
+        "may still converge but it is not guaranteed\n"
+    ) in report
+
+
+def test_threshold_inapplicable_is_reported(tmp_path, capsys):
+    # Caputo u'' + u = 0 has no pure term of fractional order
+    spec = dict(EXP_SPEC, terms=[{"d": "1", "alpha": "2"}])
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    report = (out / "report.txt").read_text()
+    reason = "threshold inapplicable: no pure Bessel term with fractional order"
+    assert f"\nconvergence threshold: inapplicable ({reason})\n" in report
+    assert f"\n  [W_THRESHOLD_INAPPLICABLE] {reason}\n" in report
+
+
+def test_no_oracle_is_reported(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, EXAMPLE1_SPEC), out, oracle=True) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    report = (out / "report.txt").read_text()
+    assert "oracle:" not in report
+    assert (
+        "\n  [W_NO_ORACLE] no closed-form oracle applies to this equation "
+        "(needs a single derivative term with p = 0 and nu = 0)\n"
+    ) in report
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    # python -m quasibessel.cli in its own process, on this tree's package
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "quasibessel.cli", *args], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_cli_process_prints_version_and_solves(tmp_path):
+    done = _run_cli("--version")
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout == f"quasibessel {__version__}\n"
+    out = tmp_path / "out"
+    done = _run_cli("solve", str(write_spec(tmp_path, EXP_SPEC)), "-o", str(out))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert (out / "roots.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "spec, target, code, error",
+    [
+        (None, "out", EXIT_VALIDATION, "cannot read spec file: "),
+        ("not json {", "out", EXIT_VALIDATION, "spec file is not valid JSON: "),
+        (EXP_SPEC, "afile", EXIT_VALIDATION, "cannot write output: "),
+        (dict(EXP_SPEC, options={"c0": "0"}), "out", EXIT_VALIDATION, "c0 must be finite"),
+        (dict(EXP_SPEC, Nu="2"), "out", EXIT_VALIDATION, "unknown field 'Nu' in the top level"),
+        (NO_SIGN_SPEC, "out", EXIT_NO_ROOTS, "no valid characteristic roots"),
+        (dict(EXP_SPEC, options={"n_terms_max": 1}), "out", EXIT_NUMERICAL, "no series reached"),
+    ],
+    ids=[
+        "missing-spec", "not-json", "output-is-a-file", "zero-c0", "unknown-field",
+        "no-sign-change", "one-term-cap",
+    ],
+)
+def test_cli_process_failure_prints_one_error_line(tmp_path, spec, target, code, error):
+    path = tmp_path / "spec.json"
+    if spec is not None:
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    (tmp_path / "afile").write_text("keep")
+    done = _run_cli("solve", str(path), "-o", str(tmp_path / target))
+    assert done.returncode == code, done.stderr
+    assert done.stderr.startswith(f"error: {error}") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("lam", [600, 700])
 def test_overflowing_series_fails_its_root(tmp_path, capsys, lam):
     # the terms' products overflow to +-inf at x = 1.2 although no pow does
@@ -331,17 +524,6 @@ def test_overflowing_series_fails_its_root(tmp_path, capsys, lam):
     assert sorted(p.name for p in out.iterdir()) == ["report.txt", "roots.csv"]
     report = (out / "report.txt").read_text()
     assert "[W_OVERFLOW] root 0: series overflows at x = 1.2" in report
-
-
-def _example4_spec(x_max: float) -> dict:
-    # D_R^0.5 u = 2 x^0.7 u on [x_max/16, x_max]
-    return {
-        "kind": "riemann_liouville",
-        "form": "power_factors",
-        "terms": [{"d": "-0.5", "beta_i": "0", "alpha": "0.5"}],
-        "delta": "0.7",
-        "domain": {"x_min": repr(x_max / 16), "x_max": repr(x_max), "n_points": 16},
-    }
 
 
 @pytest.mark.parametrize("x_max", [4.0, 5.0, 8.0])
