@@ -6,26 +6,12 @@ The leading exponent gamma of a series solution must satisfy
 
 G is continuous on gamma > -1 (1/Gamma is entire), so roots are located by
 bracketing sign changes between neighbouring points of a uniform fine grid
-(10^4 steps) and refining by bisection down to two neighbouring floats, so a
-scanned root is exact to G's rounding.  One window rule: the grid spans
-(-1, hi] with hi = max(n_max, 4) + nu^(2/alpha_1) + 10, doubled up to three
-times until G is monotone positive on its top 20 fine points; no caller sets
-the window.  One zero rule: a fine point where G is exactly 0.0 is a root,
-and only a pair whose values have strictly opposite signs is bisected, so
-each zero of G is reported once.  G is computed on the fine grid only where
-a root can be: a coarse pass samples every 16th fine point and keeps the
-cells whose end values differ in sign or touch 0.0, the two cells around
-each turn of the coarse differences (an extremum can hide two roots in a cell
-whose ends share a sign), and the first and last cell.  Window doublings are
-decided from the top 20 fine points alone.  Undetected: tangential roots, and
-two roots in one cell when G turns twice within three coarse cells.  Every
-batch goes through ``_grid_values``: where both Gamma arguments are at least
-TAU_POLE the ratio is exp(lgamma(1+gamma) - lgamma(1+gamma-alpha)), with
-lgamma(1+gamma) shared by every term, and every other point goes through
-``gamma_ratio`` as the scalar ``characteristic_value`` does, so each value is
-bit-identical to it and each kept bracket gives the root the full fine scan
-gives.
-Bisection calls the scalar ``characteristic_value``, which stays the
+(GRID_POINTS steps) and refining by bisection down to two neighbouring
+floats, so a scanned root is exact to G's rounding.  ``_scan_roots`` states
+the scan's one window rule, its one zero rule, the coarse pass that limits
+where G is computed on the fine grid, and the roots it cannot detect.  Every
+batch of G goes through ``_grid_values``, bit-identical point by point to the
+scalar ``characteristic_value``; bisection calls that scalar, which stays the
 definition of G.  When a single pure Bessel term meets nu = 0 the roots are
 known in closed form -- gamma = alpha - k for integers k >= 1 down to the -1
 floor -- and are emitted exactly instead of scanned.
@@ -204,8 +190,7 @@ def find_roots(eq: QuasiBesselEquation) -> List[CharacteristicRoot]:
     roots of G (in closed form for one pure term with nu = 0, else by
     ``_scan_roots`` on its GRID_POINTS-step grid over its one window,
     (-1, ``_first_window_top``] doubled up to ``_MAX_DOUBLINGS`` times, each
-    zero of G once) and the integers of ``caputo_integer_exponents``.  No
-    caller sets the window.
+    zero of G once) and the integers of ``caputo_integer_exponents``.
 
     A root of G within TAU_POLE of such an integer j is replaced by j, valid.
     Other Caputo roots at or below n_max - 1 + CAPUTO_FLOOR_WIDTH (1e-12,
@@ -250,8 +235,7 @@ def _scan_roots(eq: QuasiBesselEquation) -> List[CharacteristicRoot]:
     ``_TOP_WINDOW`` fine points, since G grows like d_1 gamma^alpha_1; only
     those points are computed for a window that is then doubled.  If G still
     is not monotone positive after the last doubling, a RootSearchWarning
-    names the window, since a root above it would be missed.  No caller sets
-    the window.
+    names the window, since a root above it would be missed.
 
     The fine grid runs from floor + step to hi in GRID_POINTS steps, with
     floor = -1 + TAU_POLE.  GRID_POINTS is the one source of the scan

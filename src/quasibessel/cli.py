@@ -42,8 +42,9 @@ Exit codes: 0 success (at least one valid, converged root); 2 validation
 failure, or an output directory that cannot be created or written; 3 no
 valid roots, or ``--root`` names a root that is not valid;
 4 numerical failure (overflow in the root search, every valid root failing
-with a denominator pole, an overflow or an undefined derivative, reported as
-W_DERIVATIVE_UNDEFINED, or no series converging).  Exits 2 and
+with a denominator pole, an overflow, a coefficient underflow, reported as
+W_UNDERFLOW, or an undefined derivative, reported as W_DERIVATIVE_UNDEFINED,
+or no series converging).  Exits 2 and
 a root-search overflow write nothing, except that an output error may leave
 the files written before it.  Every other exit 3 or 4 still writes
 roots.csv and report.txt, plus the coefficient, solution and residual CSVs
@@ -83,6 +84,7 @@ from .series import (
     EPS_TAIL,
     MAX_TERMS,
     _BLOWUP_LIMIT,
+    CoefficientUnderflowError,
     DenominatorPoleError,
     DerivativeUndefinedError,
     SeriesSolution,
@@ -277,7 +279,8 @@ def _oracle_check(
     params, lam = kilbas_saigo_for_single_term(t.alpha, sol.s, sol.gamma, t.d)
     n_terms = max(80, len(sol.coefficients))
     closed = kilbas_saigo(params, [lam * x**sol.s for x in xs], n_terms)
-    diffs = [abs(u - sol.c0 * x**sol.gamma * e) for x, u, e in zip(xs, u_vals, closed)]
+    c0 = sol.coefficients[0]
+    diffs = [abs(u - c0 * x**sol.gamma * e) for x, u, e in zip(xs, u_vals, closed)]
     # max() drops a NaN that is not first; a NaN difference must show
     worst = math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
     return (
@@ -322,14 +325,14 @@ def solve_command(
     report.append(f"beta = {eq.beta} (units of r),  nu^2 = {eq.nu_squared!r},  r = {eq.r!r}")
     warning_lines: List[str] = []
 
-    check = validate(eq)
-    for issue in check.issues:
+    issues = validate(eq)
+    for issue in issues:
         line = f"[{issue.code}] {issue.message}"
         if issue.severity == "fatal":
             print(f"error: {line}", file=sys.stderr)
         else:
             warning_lines.append(line)
-    if not check.is_valid:
+    if any(issue.severity == "fatal" for issue in issues):
         return EXIT_VALIDATION
 
     plan = compute_step(eq)
@@ -407,6 +410,8 @@ def solve_command(
                 warning_lines.append(f"[W_DENOMINATOR_POLE] root {k}: {exc}")
             elif isinstance(exc, DerivativeUndefinedError):
                 warning_lines.append(f"[W_DERIVATIVE_UNDEFINED] root {k}: {exc}")
+            elif isinstance(exc, CoefficientUnderflowError):
+                warning_lines.append(f"[W_UNDERFLOW] root {k}: {exc}")
             else:
                 warning_lines.append(f"[W_OVERFLOW] root {k}: {exc}")
             report.append(f"  root [{k}]: failed - {exc}")

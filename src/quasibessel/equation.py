@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .gammafn import TAU_POLE
 from .rational import RationalLike, as_rational
@@ -37,7 +37,6 @@ __all__ = [
     "Term",
     "QuasiBesselEquation",
     "ValidationIssue",
-    "ValidationReport",
     "validate",
     "nu_min_threshold",
     "uniqueness_bound",
@@ -200,26 +199,15 @@ class ValidationIssue:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: Tuple[ValidationIssue, ...]
-
-    @property
-    def fatal_issues(self) -> Tuple[ValidationIssue, ...]:
-        return tuple(i for i in self.issues if i.severity == FATAL)
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.fatal_issues
-
-
-def validate(eq: QuasiBesselEquation) -> ValidationReport:
+def validate(eq: QuasiBesselEquation) -> Tuple[ValidationIssue, ...]:
     """Check the structural conditions a series solution requires.
 
     Rationality of p_i/r and beta/r is already enforced at construction
     (shifting indices are stored as exact fractions), so the checks here are
-    a derivative term's presence, the leading-term condition and the sign
-    condition on the pure Bessel coefficients.
+    a derivative term's presence, the leading-term conditions (unshifted,
+    and some term of the highest order with d != 0), the sign condition on
+    the pure Bessel coefficients and beta > 0.  Returns every issue found,
+    fatal or not.
     """
     issues = []
     if ceil_order(eq.alpha1) == 0:
@@ -246,6 +234,18 @@ def validate(eq: QuasiBesselEquation) -> ValidationReport:
                 ),
             )
         )
+    if all(t.d == 0.0 for t in eq.terms if t.alpha == eq.alpha1):
+        issues.append(
+            ValidationIssue(
+                code="E_ZERO_LEADING_COEFFICIENT",
+                severity=FATAL,
+                message=(
+                    f"the highest-order term (alpha={eq.alpha1}) has d = 0, so the "
+                    "equation lacks its highest derivative; drop the term so that the "
+                    "highest derivative present leads"
+                ),
+            )
+        )
     for i in eq.pure_indices:
         if eq.terms[i].d <= 0:
             issues.append(
@@ -269,7 +269,7 @@ def validate(eq: QuasiBesselEquation) -> ValidationReport:
                 ),
             )
         )
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 
 
 # -- convergence threshold and uniqueness bound ---------------------------
@@ -285,9 +285,7 @@ def nu_min_threshold(eq: QuasiBesselEquation) -> float:
     if eq.kind is not DerivativeKind.CAPUTO:
         raise ValueError("nu_min_threshold applies to Caputo equations only")
     if eq.m0 == 0:
-        raise ValueError(
-            "threshold inapplicable: no pure Bessel term with fractional order"
-        )
+        raise ValueError("no pure Bessel term with fractional order")
     if any(eq.terms[i].d <= 0 for i in eq.pure_indices):
         raise ValueError("threshold requires positive pure Bessel coefficients")
     n_max = eq.n_max
@@ -297,8 +295,7 @@ def nu_min_threshold(eq: QuasiBesselEquation) -> float:
         arg = n_max - eq.terms[i].alpha
         if arg < TAU_POLE and abs(arg - round(arg)) < TAU_POLE:
             raise ValueError(
-                f"threshold inapplicable: Gamma pole at n_max - alpha = {arg} "
-                f"(term {i}, alpha={eq.terms[i].alpha})"
+                f"Gamma pole at n_max - alpha = {arg} (term {i}, alpha={eq.terms[i].alpha})"
             )
         total += eq.terms[i].d / math.gamma(arg)
     return math.gamma(eq.n_m0) * total

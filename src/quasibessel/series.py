@@ -56,14 +56,13 @@ __all__ = [
     "Truncation",
     "SeriesSolution",
     "DenominatorPoleError",
+    "CoefficientUnderflowError",
     "DerivativeUndefinedError",
     "CancellationWarning",
     "compute_step",
     "build_coefficients",
     "evaluate",
-    "frac_derivative_power",
     "residual",
-    "c0_for_initial_derivative",
     "EPS_TAIL",
     "MAX_TERMS",
     "CAPUTO_FLOOR_WIDTH",
@@ -99,6 +98,11 @@ class DenominatorPoleError(ArithmeticError):
             f"recursion denominator vanished at n={n} (D_n={value:.3e}): "
             f"gamma + s*n collides with another characteristic root"
         )
+
+
+class CoefficientUnderflowError(ArithmeticError):
+    """A recursion coefficient fell below the normal float range while its
+    term was still above the tail tolerance, so its digits are lost."""
 
 
 class DerivativeUndefinedError(ValueError):
@@ -148,7 +152,6 @@ class SeriesSolution:
     gamma: float
     s: float
     coefficients: List[float]
-    c0: float
     truncation: Truncation
     # the power rule's values by (kind, alpha, gamma, s) and lattice index n,
     # as the recursion made them: residual reads them instead of recomputing
@@ -210,12 +213,13 @@ def build_coefficients(
     divergent regime, reported rather than overflowed.  The tail estimate is
     the largest of the last n_beta terms.
 
-    A coefficient that overflows raises ArithmeticError, and so does one
-    that falls below the normal range (|c_n| < sys.float_info.min, c0 != 0)
-    while its term, taken from num and D_n before the division, is still at
-    least eps_tail: its digits are lost, and the truncation rule would read
-    the lost term as small.  A derivative the power rule leaves undefined
-    raises DerivativeUndefinedError, except in D_n when num_n = 0: c_n = 0.
+    A coefficient that overflows raises ArithmeticError.  One that falls
+    below the normal range (|c_n| < sys.float_info.min, c0 != 0) while its
+    term, taken from num and D_n before the division, is still at least
+    eps_tail raises CoefficientUnderflowError: its digits are lost, and the
+    truncation rule would read the lost term as small.  A derivative the
+    power rule leaves undefined raises DerivativeUndefinedError, except in
+    D_n when num_n = 0: c_n = 0.
 
     The recursion is linear in c0, and that linearity is exact here: the
     coefficients are built once with unit normalisation and scaled at the end.
@@ -264,7 +268,7 @@ def build_coefficients(
             math.log(abs(c0)) + math.log(abs(num)) - math.log(abs(d_n))
             + (gamma + s * n) * log_x >= log_eps
         ):
-            raise ArithmeticError(f"coefficient underflow at n={n}")
+            raise CoefficientUnderflowError(f"coefficient underflow at n={n}")
         unit.append(c)
         size = _log_magnitude(c0 * c, gamma + s * n, log_x)
         sizes.append(size)
@@ -280,7 +284,6 @@ def build_coefficients(
         gamma=gamma,
         s=s,
         coefficients=[c0 * u for u in unit],
-        c0=c0,
         truncation=Truncation(len(unit) - 1, tail, converged, blown_up),
         ratios=ratios,
     )
@@ -419,12 +422,25 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
 def _power_rule(
     kind: DerivativeKind, alpha: float, gamma: float, s: float, memo: Dict[tuple, Dict[int, float]]
 ) -> Callable[[int], float]:
-    """The power rule of frac_derivative_power for D^alpha x^(gamma + n*s)
-    as a function of the lattice index n, ceil(alpha) taken once: the ratio
-    is gamma_ratio(gamma, n*s, alpha), whose Gamma argument is
-    1 + gamma + n*s.  Each value is kept in memo[(kind, alpha, gamma, s)][n]
-    and read from there when asked again.  A ratio beyond the float range
-    raises OverflowError naming the derivative and the exponent."""
+    """The coefficient of the fractional power rule,
+    D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha) x^(q-alpha), for
+    q = gamma + n*s as a function of the lattice index n, ceil(alpha) taken
+    once: the ratio is gamma_ratio(gamma, n*s, alpha), whose Gamma argument
+    is 1 + gamma + n*s, which can round differently from 1 + q.  Each value
+    is kept in memo[(kind, alpha, gamma, s)][n] and read from there when
+    asked again.  A ratio beyond the float range raises OverflowError naming
+    the derivative and the exponent.
+
+    Riemann-Liouville needs q > -1, and the coefficient is exactly zero when
+    q+1-alpha is a nonpositive integer.  For a fractional order, Caputo of
+    x^q with q a nonnegative integer below ceil(alpha) is exactly zero (the
+    classical derivative of a low-degree monomial); otherwise Caputo needs
+    q > ceil(alpha)-1 and then agrees with Riemann-Liouville; both tests take
+    CAPUTO_FLOOR_WIDTH, a q within it of an integer being that integer.  For
+    an integer order n both are the classical D^n (Kilbas, Srivastava &
+    Trujillo 2006, 2.4), so Caputo takes the Riemann-Liouville rule:
+    D^n x^q = q(q-1)...(q-n+1) x^(q-n) for q > -1, zero at q = 0..n-1.  A q
+    the rule leaves undefined raises DerivativeUndefinedError."""
     caputo = kind is DerivativeKind.CAPUTO and not is_integer_order(alpha)
     width = CAPUTO_FLOOR_WIDTH
     floor = ceil_order(alpha) - 1 + width if caputo else -1.0
@@ -448,28 +464,6 @@ def _power_rule(
         return value
 
     return rule
-
-
-def frac_derivative_power(kind: DerivativeKind, alpha: float, exponent: float) -> float:
-    """Coefficient of the fractional power rule:
-    D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha) x^(q-alpha).
-
-    This is _power_rule at gamma = q and n = 0.  The recursion and the
-    residual call _power_rule at (gamma, n*s) instead, whose Gamma argument
-    1 + gamma + n*s can round differently from 1 + q with q = gamma + s*n,
-    so their values may differ from this one in the last bits.
-
-    Riemann-Liouville needs q > -1, and the coefficient is exactly zero when
-    q+1-alpha is a nonpositive integer.  For a fractional order, Caputo of
-    x^q with q a nonnegative integer below ceil(alpha) is exactly zero (the
-    classical derivative of a low-degree monomial); otherwise Caputo needs
-    q > ceil(alpha)-1 and then agrees with Riemann-Liouville; both tests take
-    CAPUTO_FLOOR_WIDTH, a q within it of an integer being that integer.  For
-    an integer order n both are the classical D^n (Kilbas, Srivastava &
-    Trujillo 2006, 2.4), so Caputo takes the Riemann-Liouville rule:
-    D^n x^q = q(q-1)...(q-n+1) x^(q-n) for q > -1, zero at q = 0..n-1.
-    """
-    return _power_rule(kind, alpha, exponent, 0.0, {})(0)
 
 
 def _fold(eq: QuasiBesselEquation, sol: SeriesSolution) -> Tuple[List[float], float]:
@@ -538,17 +532,3 @@ def residual(
             raise OverflowError(f"residual overflows at x = {x!r}")
         out.append(r)
     return out
-
-
-def c0_for_initial_derivative(gamma: float, mu: float, value: float) -> float:
-    """Normalisation c0 making D^mu u(0+) equal ``value`` for a series with
-    leading exponent gamma: inverts c0 * Gamma(1+gamma)/Gamma(1+gamma-mu) = value.
-
-    Meaningful when mu = gamma (the differentiated leading term is then the
-    only one surviving at the origin)."""
-    ratio = gamma_ratio(gamma, 0.0, mu)
-    if ratio == 0.0:
-        raise ValueError(
-            f"D^{mu} of x^{gamma} vanishes identically; it cannot fix c0"
-        )
-    return value / ratio

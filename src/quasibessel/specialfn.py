@@ -92,6 +92,7 @@ def _kilbas_saigo_terms(
     return terms
 
 
+# no solve stage calls this; it stays because solvebench/tracing.py patches it
 def kilbas_saigo_coefficients(params: KilbasSaigoParams, n_terms: int) -> List[float]:
     """Coefficients c_0..c_N of the Kilbas-Saigo series; one below about
     e^-745 underflows to 0.0.

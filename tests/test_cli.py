@@ -147,6 +147,44 @@ def test_shifted_leading_term_is_fatal(tmp_path):
     assert solve_command(spec, tmp_path / "out") == EXIT_VALIDATION
 
 
+_ZERO_LEADING_SPECS = [
+    # the only term is zero, so G is identically 0 and every recursion
+    # denominator vanishes
+    {
+        "kind": "caputo",
+        "form": "constant_coefficients",
+        "terms": [{"d": "0", "alpha": "0.7"}],
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    },
+    # a zero D^1.5 term leaves x^0.5 D^0.5 u + (x - 0.04) u = 0, a lower-order
+    # equation than the spec states
+    {
+        "kind": "caputo",
+        "form": "quasi_bessel",
+        "terms": [{"d": "0", "alpha": "1.5", "p": "0"}, {"d": "1", "alpha": "0.5", "p": "0"}],
+        "beta": "1",
+        "nu": "0.2",
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    },
+]
+
+
+@pytest.mark.parametrize("spec", _ZERO_LEADING_SPECS)
+def test_zero_leading_coefficient_is_fatal(tmp_path, capsys, spec):
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_VALIDATION
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: [E_ZERO_LEADING_COEFFICIENT] the highest-order term (alpha=")
+    assert not out.exists()
+
+
+def test_zero_coefficient_below_the_leading_term_is_legal(tmp_path, capsys):
+    # RL D^1.5 u + 0 D^0.5 u + u = 0 is D^1.5 u + u = 0
+    spec = dict(NOSOL_SPEC, terms=[{"d": "1", "alpha": "1.5"}, {"d": "0", "alpha": "0.5"}])
+    assert solve_command(write_spec(tmp_path, spec), tmp_path / "out") == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_malformed_spec_files(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert solve_command(missing, tmp_path / "out") == EXIT_VALIDATION
@@ -451,7 +489,7 @@ def test_threshold_inapplicable_is_reported(tmp_path, capsys):
     assert solve_command(write_spec(tmp_path, spec), out) == EXIT_OK
     assert capsys.readouterr().err == ""
     report = (out / "report.txt").read_text()
-    reason = "threshold inapplicable: no pure Bessel term with fractional order"
+    reason = "no pure Bessel term with fractional order"
     assert f"\nconvergence threshold: inapplicable ({reason})\n" in report
     assert f"\n  [W_THRESHOLD_INAPPLICABLE] {reason}\n" in report
 
@@ -538,7 +576,8 @@ def test_underflowing_coefficient_fails_its_root(tmp_path, capsys, x_max):
         return
     assert code == EXIT_NUMERICAL
     assert capsys.readouterr().err == "error: every valid root failed numerically\n"
-    assert "[W_OVERFLOW] root 0: coefficient underflow at n=379" in report
+    assert "[W_UNDERFLOW] root 0: coefficient underflow at n=379" in report
+    assert "[W_OVERFLOW]" not in report
 
 
 def _oracle_value(report: str) -> float:

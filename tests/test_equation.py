@@ -14,7 +14,7 @@ from quasibessel import (
     uniqueness_bound,
     validate,
 )
-from quasibessel.equation import WARNING
+from quasibessel.equation import FATAL, WARNING
 from quasibessel.series import compute_step
 
 # frozen from mpmath at 40 digits
@@ -43,10 +43,12 @@ def test_construction_rejects_float_indices():
         QuasiBesselEquation(terms=(Term(1.0, 1.0, "0"),), beta=2.0)
 
 
+def _fatal_codes(eq):
+    return [issue.code for issue in validate(eq) if issue.severity == FATAL]
+
+
 def test_validate_example1_is_clean():
-    report = validate(example1(2.0))
-    assert report.is_valid
-    assert not report.issues
+    assert validate(example1(2.0)) == ()
 
 
 def test_validate_flags_shifted_leading_term():
@@ -56,22 +58,19 @@ def test_validate_flags_shifted_leading_term():
         nu_squared=4.0,
         kind=CAPUTO,
     )
-    report = validate(eq)
-    assert not report.is_valid
-    assert report.fatal_issues[0].code == "E_SHIFTED_LEADING_TERM"
+    assert _fatal_codes(eq)[0] == "E_SHIFTED_LEADING_TERM"
 
 
 def test_validate_example2_single_integer_term():
-    assert validate(example2()).is_valid
+    assert _fatal_codes(example2()) == []
 
 
 def test_validate_warns_on_nonpositive_bessel_coefficient():
     eq = QuasiBesselEquation(
         terms=(Term(-1.0, 1.5, "0"),), beta="2", nu_squared=1.0, kind=CAPUTO
     )
-    report = validate(eq)
-    assert report.is_valid  # warning only
-    codes = [i.code for i in report.issues if i.severity == WARNING]
+    assert _fatal_codes(eq) == []  # warning only
+    codes = [i.code for i in validate(eq) if i.severity == WARNING]
     assert codes == ["W_NONPOSITIVE_BESSEL_COEFFICIENT"]
 
 
@@ -79,9 +78,31 @@ def test_validate_warns_on_nonpositive_bessel_coefficient():
 def test_validate_rejects_equation_without_derivative(kind):
     # order 0 is an algebraic equation; the root search would divide by alpha1
     eq = QuasiBesselEquation(terms=(Term(1.0, 0.0, "0"),), beta="2", nu_squared=4.0, kind=kind)
-    report = validate(eq)
-    assert not report.is_valid
-    assert [i.code for i in report.fatal_issues] == ["E_NO_DERIVATIVE"]
+    assert _fatal_codes(eq) == ["E_NO_DERIVATIVE"]
+
+
+def test_validate_rejects_a_zero_leading_coefficient():
+    # d = 0 on the highest-order term is fatal; on a lower-order term it is
+    # legal, and a zero pure Bessel coefficient there only warns
+    leading = from_constant_coefficients([(0.0, "0.7")], kind=CAPUTO)
+    assert _fatal_codes(leading) == ["E_ZERO_LEADING_COEFFICIENT"]
+    eq = QuasiBesselEquation(
+        terms=(Term(0.0, 1.5, "0"), Term(1.0, 0.5, "0")), beta="1", nu_squared=0.04, kind=CAPUTO
+    )
+    assert _fatal_codes(eq) == ["E_ZERO_LEADING_COEFFICIENT"]
+    # a second term of the highest order with d != 0 keeps that derivative,
+    # whichever of the two is listed first
+    zero, one = Term(0.0, 1.5, "0"), Term(1.0, 1.5, "0")
+    for pair in [(zero, one), (one, zero)]:
+        tied = QuasiBesselEquation(terms=pair, beta="1", nu_squared=0.04, kind=CAPUTO)
+        assert "E_ZERO_LEADING_COEFFICIENT" not in _fatal_codes(tied)
+    assert _fatal_codes(from_constant_coefficients([(1.0, "1.5"), (0.0, "0.5")], kind=RL)) == []
+    lower = QuasiBesselEquation(
+        terms=(Term(1.0, 1.5, "0"), Term(0.0, 0.5, "0")), beta="1", kind=CAPUTO
+    )
+    assert [(i.code, i.severity) for i in validate(lower)] == [
+        ("W_NONPOSITIVE_BESSEL_COEFFICIENT", WARNING)
+    ]
 
 
 def test_zero_beta_is_reported_as_unsupported():
@@ -90,7 +111,7 @@ def test_zero_beta_is_reported_as_unsupported():
     # suggest it
     eq = from_power_factors([(1.0, "1.5", "1.5"), (2.0, "0.5", "0.5")], delta="0", kind=RL)
     assert eq.beta == 0
-    (issue,) = validate(eq).fatal_issues
+    (issue,) = [i for i in validate(eq) if i.severity == FATAL]
     assert issue.code == "E_ZERO_BETA"
     with pytest.raises(ValueError) as exc:
         compute_step(eq)
@@ -172,8 +193,7 @@ def test_from_constant_coefficients_worked_example():
     assert [t.p for t in eq.terms] == [Fraction(0), Fraction(7, 10), Fraction(14, 10)]
     assert eq.beta == Fraction(21, 10)
     assert eq.nu_squared == 0.0
-    report = validate(eq)
-    assert report.is_valid
+    assert _fatal_codes(eq) == []
 
 
 def test_from_constant_coefficients_example2():

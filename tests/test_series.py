@@ -23,18 +23,17 @@ from _examples import (
 )
 from quasibessel import (
     CancellationWarning,
+    CoefficientUnderflowError,
     DenominatorPoleError,
     DerivativeUndefinedError,
     QuasiBesselEquation,
     SeriesSolution,
     Term,
     build_coefficients,
-    c0_for_initial_derivative,
     caputo_integer_exponents,
     compute_step,
     evaluate,
     find_roots,
-    frac_derivative_power,
     from_constant_coefficients,
     from_power_factors,
     residual,
@@ -261,8 +260,9 @@ def test_weighted_terms_eventually_decay():
 
 
 # The recursion as it was when it rescanned its n_beta window at every step
-# and again for the tail, verbatim apart from the name and the type
-# annotations: each term's size is computed once now, and Q is no longer cached.
+# and again for the tail, verbatim apart from the name, the type annotations
+# and SeriesSolution's c0 field, which is gone (c_0 is coefficients[0]): each
+# term's size is computed once now, and Q is no longer cached.
 def _window_rescan_build(
     eq,
     gamma,
@@ -337,7 +337,6 @@ def _window_rescan_build(
         gamma=gamma,
         s=s,
         coefficients=coeffs,
-        c0=c0,
         truncation=Truncation(
             terms_used=n_used, tail_estimate=tail, converged=converged, blown_up=blown_up
         ),
@@ -433,7 +432,7 @@ def test_build_coefficients_matches_window_rescan(case):
         new = _build_outcome(build_coefficients, *args, **options, **mode)
         lost = isinstance(new, tuple) and re.fullmatch(r"coefficient underflow at n=(\d+)", new[1])
         if lost:
-            assert new[0] is ArithmeticError
+            assert new[0] is CoefficientUnderflowError
             _check_lost_coefficient(eq, gamma, plan, options, int(lost[1]))
         else:
             assert new == _build_outcome(_window_rescan_build, *args, **options, **mode)
@@ -543,7 +542,6 @@ def test_evaluate_single_term():
         gamma=-0.5,
         s=1.2,
         coefficients=[2.0],
-        c0=2.0,
         truncation=Truncation(terms_used=0, tail_estimate=0.0, converged=False),
     )
     assert evaluate(sol, [4.0]) == [pytest.approx(2.0 * 4.0**-0.5, rel=1e-15)]
@@ -552,8 +550,9 @@ def test_evaluate_single_term():
 def test_evaluate_example3_combined_against_direct_series():
     eq = example3()
     plan = compute_step(eq)
-    c01 = c0_for_initial_derivative(0.7, 0.7, 1.2)
-    c02 = c0_for_initial_derivative(-0.3, -0.3, 1.5)
+    # c0 makes D^gamma u(0+) = c0 Gamma(1+gamma) equal 1.2 and 1.5
+    c01 = 1.2 / gamma_ratio(0.7, 0.0, 0.7)
+    c02 = 1.5 / gamma_ratio(-0.3, 0.0, -0.3)
     sol1 = build_coefficients(eq, 0.7, plan, n_terms=40, c0=c01)
     sol2 = build_coefficients(eq, -0.3, plan, n_terms=40, c0=c02)
     xs = [0.1 + 0.1 * i for i in range(20)]
@@ -577,7 +576,6 @@ def test_evaluate_warns_on_cancellation():
         gamma=0.0,
         s=1e-18,
         coefficients=[1e16, -1e16],
-        c0=1e16,
         truncation=Truncation(terms_used=1, tail_estimate=0.0, converged=False),
     )
     with pytest.warns(CancellationWarning):
@@ -590,7 +588,6 @@ def test_evaluate_overflowing_product_raises():
         gamma=0.0,
         s=1.0,
         coefficients=[1e300, -1e300],
-        c0=1e300,
         truncation=Truncation(terms_used=1, tail_estimate=0.0, converged=False),
     )
     with pytest.raises(OverflowError, match=r"series overflows at x = 10000000000\.0$"):
@@ -603,7 +600,6 @@ def test_evaluate_at_zero_and_zero_sums():
             gamma=gamma,
             s=0.5,
             coefficients=coefficients,
-            c0=coefficients[0],
             truncation=Truncation(terms_used=len(coefficients) - 1, tail_estimate=0.0,
                                   converged=False),
         )
@@ -737,7 +733,6 @@ def _lattice_solution(gamma, s, cs):
         gamma=gamma,
         s=s,
         coefficients=cs,
-        c0=cs[0],
         truncation=Truncation(terms_used=len(cs) - 1, tail_estimate=0.0, converged=False),
     )
 
@@ -802,7 +797,6 @@ def _general_case(draw):
         gamma=draw(st.floats(-2.0, 3.0)),
         s=10.0 ** draw(st.floats(-2.0, 0.5)),
         coefficients=draw(_coefficient_lists()),
-        c0=1.0,
         truncation=Truncation(terms_used=0, tail_estimate=0.0, converged=False),
     )
     xs = draw(st.lists(_POINTS, min_size=1, max_size=5))
@@ -823,7 +817,6 @@ def _cancellation_case(draw):
         gamma=draw(st.floats(0.0, 2.0)),
         s=1.0 / (ratio * math.log(x)),
         coefficients=[c, -c] + extra,
-        c0=c,
         truncation=Truncation(terms_used=1, tail_estimate=0.0, converged=False),
     )
     return sol, [x] + draw(st.lists(st.floats(0.5, 3.0), max_size=3))
@@ -981,41 +974,46 @@ def test_evaluate_and_residual_sum_only_the_terms_each_point_needs(monkeypatch):
 # -- fractional power rule ----------------------------------------------------
 
 
+def _power(kind, alpha, q):
+    """The power rule's coefficient of D^alpha x^q, at gamma = q and n = 0."""
+    return series._power_rule(kind, alpha, q, 0.0, {})(0)
+
+
 def test_power_rule_trivial_cases():
-    assert frac_derivative_power(RL, 0.5, -0.5) == 0.0  # Gamma(0.5)/Gamma(0) = 0
+    assert _power(RL, 0.5, -0.5) == 0.0  # Gamma(0.5)/Gamma(0) = 0
     # integer power below ceil(alpha), and any q within CAPUTO_FLOOR_WIDTH of it
-    assert frac_derivative_power(CAPUTO, 1.5, 1.0) == 0.0
-    assert frac_derivative_power(CAPUTO, 1.5, 1 + 2**-52) == 0.0
-    assert frac_derivative_power(CAPUTO, 1.5, 1 + CAPUTO_FLOOR_WIDTH / 2) == 0.0
-    assert frac_derivative_power(CAPUTO, 1.5, 1 + CAPUTO_FLOOR_WIDTH) == 0.0  # the floor
-    assert frac_derivative_power(RL, 1.0, 2.0) == pytest.approx(2.0, rel=1e-15)
+    assert _power(CAPUTO, 1.5, 1.0) == 0.0
+    assert _power(CAPUTO, 1.5, 1 + 2**-52) == 0.0
+    assert _power(CAPUTO, 1.5, 1 + CAPUTO_FLOOR_WIDTH / 2) == 0.0
+    assert _power(CAPUTO, 1.5, 1 + CAPUTO_FLOOR_WIDTH) == 0.0  # the floor
+    assert _power(RL, 1.0, 2.0) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_power_rule_matches_gamma_ratio_for_valid_exponents():
     mp.mp.dps = 30
     for alpha in (0.5, 1.1, 1.5, 2.0):
         for q in (1.8, 2.5, 3.3):
-            rl = frac_derivative_power(RL, alpha, q)
-            cap = frac_derivative_power(CAPUTO, alpha, q)
+            rl = _power(RL, alpha, q)
+            cap = _power(CAPUTO, alpha, q)
             ref = float(mp.gamma(q + 1) / mp.gamma(q + 1 - alpha))
             assert rl == pytest.approx(ref, rel=1e-12)
             assert cap == rl
     # an integer order is the classical derivative at every q > -1:
     # (x^0.5)'' = -0.25 x^-1.5, below the fractional floor ceil(2) - 1
-    assert frac_derivative_power(CAPUTO, 2.0, 0.5) == pytest.approx(-0.25, rel=1e-15)
+    assert _power(CAPUTO, 2.0, 0.5) == pytest.approx(-0.25, rel=1e-15)
     # above the floor ceil(1.5) - 1 = 1 by more than CAPUTO_FLOOR_WIDTH, where
     # find_roots calls a root valid, Caputo is the Gamma ratio too
     q = 1 + 5e-10
-    assert frac_derivative_power(CAPUTO, 1.5, q) == gamma_ratio(q, 0.0, 1.5) > 0.0
+    assert _power(CAPUTO, 1.5, q) == gamma_ratio(q, 0.0, 1.5) > 0.0
 
 
 def test_power_rule_preconditions():
     with pytest.raises(DerivativeUndefinedError):
-        frac_derivative_power(RL, 0.5, -1.5)
+        _power(RL, 0.5, -1.5)
     with pytest.raises(DerivativeUndefinedError):
-        frac_derivative_power(CAPUTO, 1.5, 0.3)  # below ceil(alpha) - 1, not integer
+        _power(CAPUTO, 1.5, 0.3)  # below ceil(alpha) - 1, not integer
     with pytest.raises(DerivativeUndefinedError):
-        frac_derivative_power(CAPUTO, 1.5, 1 - 5e-10)  # beyond CAPUTO_FLOOR_WIDTH of 1
+        _power(CAPUTO, 1.5, 1 - 5e-10)  # beyond CAPUTO_FLOOR_WIDTH of 1
 
 
 # -- residual -----------------------------------------------------------------
@@ -1036,7 +1034,6 @@ def test_residual_zero_solution_is_zero():
         gamma=2.0,
         s=0.1,
         coefficients=[0.0] * 10,
-        c0=0.0,
         truncation=Truncation(terms_used=9, tail_estimate=0.0, converged=True),
     )
     assert residual(eq, sol, [0.5, 1.0, 2.0]) == [0.0, 0.0, 0.0]
@@ -1088,7 +1085,6 @@ def test_residual_propagates_derivative_errors():
         gamma=0.5,  # below the Caputo floor: D_C^1.5 of x^0.5 undefined
         s=1.0,
         coefficients=[1.0],
-        c0=1.0,
         truncation=Truncation(terms_used=0, tail_estimate=0.0, converged=False),
     )
     with pytest.raises(DerivativeUndefinedError):
@@ -1130,7 +1126,7 @@ def test_residual_overflow_raises():
     # x**gamma does (inf * 0)
     def empty(gamma):
         return SeriesSolution(
-            gamma=gamma, s=1.2, coefficients=[], c0=0.0,
+            gamma=gamma, s=1.2, coefficients=[],
             truncation=Truncation(terms_used=0, tail_estimate=0.0, converged=False),
         )
 
@@ -1152,13 +1148,12 @@ def test_gamma_ratio_overflow_names_the_derivative():
         gamma=200.0,
         s=200.0,
         coefficients=[1.0],
-        c0=1.0,
         truncation=Truncation(terms_used=0, tail_estimate=0.0, converged=False),
     )
     with pytest.raises(OverflowError, match=message):
         residual(eq, sol, [0.5])
     with pytest.raises(OverflowError, match=message):
-        frac_derivative_power(CAPUTO, 200.0, 200.0)
+        _power(CAPUTO, 200.0, 200.0)
 
 
 def test_residual_rejects_nan():
@@ -1198,7 +1193,7 @@ def test_residual_takes_the_recursions_gamma_ratios(monkeypatch):
                      if c != 0.0 and n not in reached]
     assert sorted(calls) == sorted(expected)
     assert not built & set(calls)
-    bare = SeriesSolution(gamma=sol.gamma, s=sol.s, coefficients=sol.coefficients, c0=sol.c0,
+    bare = SeriesSolution(gamma=sol.gamma, s=sol.s, coefficients=sol.coefficients,
                           truncation=sol.truncation)
     assert series._fold(eq, bare) == series._fold(eq, sol)
     assert residual(eq, bare, xs) == res
@@ -1304,22 +1299,3 @@ def test_residual_cut_within_bound_of_exact_sum(case):
         allowed = 3 * m_top * _EPS * size + Fraction(2.0**-7 * _EPS * scale * floor)
         underflow = _TINY * ((m_top + 2) * scale * max(1.0, y) ** m_top + 1)
         assert abs(Fraction(r) - exact) <= allowed + Fraction(underflow)
-
-
-# -- initial-condition helper ---------------------------------------------------
-
-
-def test_c0_helper_example3_values():
-    mp.mp.dps = 30
-    assert c0_for_initial_derivative(0.7, 0.7, 1.2) == pytest.approx(
-        float(mp.mpf("1.2") / mp.gamma(1.7)), rel=1e-14
-    )
-    assert c0_for_initial_derivative(-0.3, -0.3, 1.5) == pytest.approx(
-        float(mp.mpf("1.5") / mp.gamma(0.7)), rel=1e-14
-    )
-
-
-def test_c0_helper_example4_value():
-    assert c0_for_initial_derivative(-0.5, -0.5, 1.0) == pytest.approx(
-        1.0 / math.sqrt(math.pi), rel=1e-14
-    )

@@ -7,7 +7,6 @@ from _examples import example2, example4
 from quasibessel import (
     KilbasSaigoParams,
     build_coefficients,
-    c0_for_initial_derivative,
     compute_step,
     evaluate,
     kilbas_saigo,
@@ -15,7 +14,7 @@ from quasibessel import (
     kilbas_saigo_for_single_term,
     mittag_leffler,
 )
-from quasibessel.gammafn import GammaPoleError
+from quasibessel.gammafn import GammaPoleError, gamma_ratio
 
 
 def test_mittag_leffler_trivial():
@@ -103,7 +102,9 @@ def test_series_for_example4_equals_kilbas_saigo():
     for lam in (0.5, 1.0):
         eq = example4(lam)
         plan = compute_step(eq)
-        c0 = c0_for_initial_derivative(-0.5, -0.5, 1.0)  # b = 1
+        # b = 1: c0 makes D^-0.5 u(0+) = c0 Gamma(0.5) equal 1
+        c0 = 1.0 / gamma_ratio(-0.5, 0.0, -0.5)
+        assert c0 == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
         sol = build_coefficients(eq, -0.5, plan, c0=c0, x_max=2.0, eps_tail=1e-16)
         params, lam_rec = kilbas_saigo_for_single_term(0.5, sol.s, -0.5, -1.0 / lam)
         assert lam_rec == pytest.approx(lam, rel=1e-15)

@@ -11,7 +11,9 @@ out, "--oracle"])``.  Both run in their own directory with the same relative
 output paths, so a path that the solver prints is the same in both.
 
 Reported per case: a differing exit code (or exception), stderr, set of
-written files, or file contents.  Exits 1 if anything differs, else 0.
+written files, or file contents.  For a text file that differs, the first
+line that differs is printed under it, the parent's after ``-`` and the
+change's after ``+``.  Exits 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,6 +87,20 @@ def outputs(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
 
 
+def first_difference(a: bytes, b: bytes) -> str:
+    """The first differing line of two texts, with its number, as two
+    indented lines; empty when either side is not UTF-8 text."""
+    try:
+        lines_a, lines_b = a.decode("utf-8").splitlines(), b.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return ""
+    pairs = zip_longest(lines_a, lines_b, fillvalue="<end of file>")
+    for number, (line_a, line_b) in enumerate(pairs, 1):
+        if line_a != line_b:
+            return f" at line {number}\n  - {line_a}\n  + {line_b}"
+    return " in its line endings"
+
+
 def compare(cases: list, parent: dict, change: dict, work: Path) -> list:
     diffs = []
     for name, _ in cases:
@@ -98,7 +115,8 @@ def compare(cases: list, parent: dict, change: dict, work: Path) -> list:
             diffs.append(f"{name}: files {sorted(files_a)} -> {sorted(files_b)}")
         for file in sorted(files_a.keys() & files_b.keys()):
             if files_a[file] != files_b[file]:
-                diffs.append(f"{name}: {file} differs")
+                where = first_difference(files_a[file], files_b[file])
+                diffs.append(f"{name}: {file} differs{where}")
     return diffs
 
 
