@@ -434,12 +434,9 @@ def solve_command(
             f"tail_estimate = {trunc.tail_estimate!r}  converged = {trunc.converged}  "
             f"max |residual| on grid = {max(map(abs, res_vals))!r}"
         )
-        files[f"coefficients_{k}.csv"] = _csv(
-            ["n", "c_n", "exponent"],
-            [
-                [str(n), _fmt(cn), _fmt(sol.exponent(n))]
-                for n, cn in enumerate(sol.coefficients)
-            ],
+        # one format per row, each float as _fmt writes it
+        files[f"coefficients_{k}.csv"] = "n,c_n,exponent\n" + "".join(
+            "%d,%.17g,%.17g\n" % (n, cn, sol.exponent(n)) for n, cn in enumerate(sol.coefficients)
         )
         files[f"solution_{k}.csv"] = _csv(
             ["x", "u"],

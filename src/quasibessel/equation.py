@@ -204,10 +204,10 @@ def validate(eq: QuasiBesselEquation) -> Tuple[ValidationIssue, ...]:
 
     Rationality of p_i/r and beta/r is already enforced at construction
     (shifting indices are stored as exact fractions), so the checks here are
-    a derivative term's presence, the leading-term conditions (unshifted,
-    and some term of the highest order with d != 0), the sign condition on
-    the pure Bessel coefficients and beta > 0.  Returns every issue found,
-    fatal or not.
+    a derivative term's presence, the leading-term conditions (some term of
+    the highest order with d != 0, and one such term unshifted; a d = 0 term
+    counts as absent), the sign condition on the pure Bessel coefficients
+    and beta > 0.  Returns every issue found, fatal or not.
     """
     issues = []
     if ceil_order(eq.alpha1) == 0:
@@ -221,20 +221,22 @@ def validate(eq: QuasiBesselEquation) -> Tuple[ValidationIssue, ...]:
                 ),
             )
         )
-    if not eq.terms[0].is_pure_bessel:
+    # a d = 0 term is absent: it neither carries nor shifts the derivative
+    leading = [t for t in eq.terms if t.alpha == eq.alpha1 and t.d != 0.0]
+    if leading and not any(t.is_pure_bessel for t in leading):
         issues.append(
             ValidationIssue(
                 code="E_SHIFTED_LEADING_TERM",
                 severity=FATAL,
                 message=(
-                    f"the highest-order derivative (alpha={eq.terms[0].alpha}) carries a "
-                    f"positive shift p={eq.terms[0].p}; the recursion numerator then grows "
+                    f"the highest-order derivative (alpha={leading[0].alpha}) carries a "
+                    f"positive shift p={leading[0].p}; the recursion numerator then grows "
                     "faster than its denominator, the coefficients blow up, and no series "
                     "solution on the step lattice exists"
                 ),
             )
         )
-    if all(t.d == 0.0 for t in eq.terms if t.alpha == eq.alpha1):
+    if not leading:
         issues.append(
             ValidationIssue(
                 code="E_ZERO_LEADING_COEFFICIENT",

@@ -19,16 +19,23 @@ root of the characteristic equation (a root collision) and the series does
 not exist; that is reported as DenominatorPoleError rather than patched.
 
 The recursion takes each Q, and the residual check each derivative, from one
-power rule, _power_rule at (gamma, n*s) for the lattice index n, with the
+power rule, _PowerRule at (gamma, n*s) for the lattice index n, with the
 Gamma arguments 1 + gamma + n*s and 1 + gamma + n*s - alpha; so any
 disagreement beyond the truncation tail is a bug, not discretisation error.
 Every power the equation produces, x^(gamma+s(n+n_pi)) and
 x^(gamma+s(n+n_beta)), lies on the series lattice, so the residual is folded
 onto integer lattice slots and evaluated as one more coefficient vector.
 
-The recursion's Gamma ratios are kept with the series it returns, and the
-residual reads them from there: it computes only those the recursion never
-reached.
+Each derivative's ratios are one table, Q(0), Q(1), ..., indexed by n and
+filled _BLOCK indices at a time.  A block where the rule is a plain Gamma
+ratio at every index is one list of exp(lgamma - lgamma), the same floats
+gamma_ratio gives there; every other index takes the rule one at a time.
+The recursion reads a whole block of D_n at once.  An index where the rule
+raises holds NaN, and its error, overflow or an undefined derivative, is
+raised only when the recursion or the residual reads that index.  The
+tables are kept with the series the recursion returns, and the residual
+reads them from there: it fills only the shifted terms' top indices, which
+the recursion never reached.
 
 Evaluation and residual sum through one routine, _lattice_sums: Horner's
 rule in y = x^s on the integer lattice indices, scaled by x^gamma, with two
@@ -46,10 +53,10 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
-from .gammafn import gamma_ratio
+from .gammafn import TAU_POLE, gamma_ratio
 
 __all__ = [
     "StepPlan",
@@ -85,6 +92,9 @@ _BLOWUP_LIMIT = 1e280
 _CUT_STRIDE = 16
 # log of the share of eps times its floor that a point's dropped terms may reach
 _LOG_CUT = math.log(2.0**-7 * sys.float_info.epsilon)
+# indices per block of a power-rule table; a series of N terms fills at most
+# one block per term past N
+_BLOCK = 16
 
 
 class DenominatorPoleError(ArithmeticError):
@@ -153,9 +163,9 @@ class SeriesSolution:
     s: float
     coefficients: List[float]
     truncation: Truncation
-    # the power rule's values by (kind, alpha, gamma, s) and lattice index n,
-    # as the recursion made them: residual reads them instead of recomputing
-    ratios: Dict[tuple, Dict[int, float]] = field(default_factory=dict, repr=False, compare=False)
+    # the power rule's tables by (kind, alpha, gamma, s), as the recursion
+    # filled them: residual reads them, and fills only the indices beyond
+    ratios: Dict[tuple, _PowerRule] = field(default_factory=dict, repr=False, compare=False)
 
     def exponent(self, n: int) -> float:
         return self.gamma + self.s * n
@@ -230,10 +240,15 @@ def build_coefficients(
         raise ValueError(f"x_max must be positive, got {x_max}")
     s = plan.step_value
     tau_denom = _TAU_DENOM_SCALE * (1.0 + eq.nu_squared)
-    ratios: Dict[tuple, Dict[int, float]] = {}
-    rules = [(t.d, _power_rule(eq.kind, t.alpha, gamma, s, ratios)) for t in eq.terms]
-    pure = [rules[i] for i in eq.pure_indices]
-    shifted = [rules[i] + (plan.n_p[i],) for i in eq.shifted_indices]
+    ratios: Dict[tuple, _PowerRule] = {}
+    tables = _tables(eq, gamma, s, ratios)
+    pure = [(eq.terms[i].d, tables[i]) for i in eq.pure_indices]
+    shifted = [
+        (eq.terms[i].d, tables[i], tables[i].values, plan.n_p[i]) for i in eq.shifted_indices
+    ]
+    # D_n, filled a block at a time as the tables are, each -nu^2 + d_j Q_j(n)
+    # in pure_indices order; D_0 is made but never read
+    dens: List[float] = []
 
     unit = [1.0]
     # log|c0 c_n| + (gamma + s n) ln x_max of each term made, n = 1, 2, ...
@@ -247,18 +262,31 @@ def build_coefficients(
         num = 0.0
         if n >= plan.n_beta:
             num += unit[n - plan.n_beta]
-        for d, rule, shift in shifted:
+        for d, table, values, shift in shifted:
             k = n - shift
             if k >= 0 and unit[k] != 0.0:
-                num += unit[k] * d * rule(k)
-        d_n = -eq.nu_squared
-        try:
-            for d, rule in pure:
-                d_n += d * rule(n)
-        except DerivativeUndefinedError:
-            if num != 0.0:
-                raise
-            d_n = math.inf  # no term sits at n: c_n = -0/inf
+                if k >= len(values):
+                    table.grow(k + 1)
+                q = values[k]
+                num += unit[k] * d * (q if q == q else table(k))
+        if n >= len(dens):
+            start = len(dens)
+            block = [-eq.nu_squared] * _BLOCK
+            for d, table in pure:
+                table.grow(start + _BLOCK)
+                block = [v + d * q for v, q in zip(block, table.values[start : start + _BLOCK])]
+            dens += block
+        d_n = dens[n]
+        if d_n != d_n:  # a NaN Q, or inf - inf: the sum again, index by index
+            d_n = -eq.nu_squared
+            try:
+                for d, table in pure:
+                    q = table.values[n]
+                    d_n += d * (q if q == q else table(n))
+            except DerivativeUndefinedError:
+                if num != 0.0:
+                    raise
+                d_n = math.inf  # no term sits at n: c_n = -0/inf
         if abs(d_n) < tau_denom:
             raise DenominatorPoleError(n, d_n)
         c = -num / d_n
@@ -419,17 +447,14 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     return out
 
 
-def _power_rule(
-    kind: DerivativeKind, alpha: float, gamma: float, s: float, memo: Dict[tuple, Dict[int, float]]
-) -> Callable[[int], float]:
+class _PowerRule:
     """The coefficient of the fractional power rule,
     D^alpha x^q = Gamma(q+1)/Gamma(q+1-alpha) x^(q-alpha), for
     q = gamma + n*s as a function of the lattice index n, ceil(alpha) taken
     once: the ratio is gamma_ratio(gamma, n*s, alpha), whose Gamma argument
-    is 1 + gamma + n*s, which can round differently from 1 + q.  Each value
-    is kept in memo[(kind, alpha, gamma, s)][n] and read from there when
-    asked again.  A ratio beyond the float range raises OverflowError naming
-    the derivative and the exponent.
+    is 1 + gamma + n*s, which can round differently from 1 + q.  A ratio
+    beyond the float range raises OverflowError naming the derivative and
+    the exponent.
 
     Riemann-Liouville needs q > -1, and the coefficient is exactly zero when
     q+1-alpha is a nonpositive integer.  For a fractional order, Caputo of
@@ -440,30 +465,81 @@ def _power_rule(
     an integer order n both are the classical D^n (Kilbas, Srivastava &
     Trujillo 2006, 2.4), so Caputo takes the Riemann-Liouville rule:
     D^n x^q = q(q-1)...(q-n+1) x^(q-n) for q > -1, zero at q = 0..n-1.  A q
-    the rule leaves undefined raises DerivativeUndefinedError."""
-    caputo = kind is DerivativeKind.CAPUTO and not is_integer_order(alpha)
-    width = CAPUTO_FLOOR_WIDTH
-    floor = ceil_order(alpha) - 1 + width if caputo else -1.0
-    known = memo.setdefault((kind, alpha, gamma, s), {})
+    the rule leaves undefined raises DerivativeUndefinedError.
 
-    def rule(n: int) -> float:
-        value = known.get(n)
-        if value is None:
-            r = n * s
-            q = gamma + r
-            if q > floor:
+    Calling the rule computes the value at one index.  ``values`` is the
+    table Q(0), Q(1), ..., which ``grow`` fills _BLOCK indices at a time.
+    For a fractional order, a block whose first index has q above the floor
+    and 1 + gamma + n*s - alpha >= TAU_POLE is regular throughout: with
+    s > 0 both grow with n, and alpha > 0 puts 1 + gamma + n*s above
+    TAU_POLE too.  Such a block is one list of
+    exp(lgamma(x) - lgamma(x - alpha)), x = 1 + gamma + n*s formed as
+    gamma_ratio forms it, which is gamma_ratio's value there (an x of inf
+    gives NaN).  Every other block, and a regular one that overflows, takes
+    the rule index by index, and an index where the rule raises holds NaN.
+    The rule never returns NaN: a reader that finds it calls the rule there,
+    so each error is raised, with its own message, only where an index is
+    read.
+    """
+
+    def __init__(self, kind: DerivativeKind, alpha: float, gamma: float, s: float):
+        self.kind, self.alpha, self.gamma, self.s = kind, alpha, gamma, s
+        self.fractional = not is_integer_order(alpha)
+        self.caputo = kind is DerivativeKind.CAPUTO and self.fractional
+        self.floor = ceil_order(alpha) - 1 + CAPUTO_FLOOR_WIDTH if self.caputo else -1.0
+        self.values: List[float] = []
+
+    def __call__(self, n: int) -> float:
+        r = n * self.s
+        q = self.gamma + r
+        if q > self.floor:
+            try:
+                return gamma_ratio(self.gamma, r, self.alpha)
+            except OverflowError:
+                raise OverflowError(
+                    f"{self.kind.value} D^{self.alpha} of x^{q} overflows"
+                ) from None
+        width = CAPUTO_FLOOR_WIDTH
+        if self.caputo and (j := round(q)) >= 0 and j - width <= q <= j + width:
+            return 0.0
+        raise DerivativeUndefinedError(f"{self.kind.value} D^{self.alpha} of x^{q} is undefined")
+
+    def grow(self, stop: int) -> None:
+        """Fill ``values`` in whole blocks until it holds index stop - 1."""
+        values, gamma, alpha, s = self.values, self.gamma, self.alpha, self.s
+        while len(values) < stop:
+            start = len(values)
+            block = range(start, start + _BLOCK)
+            if (
+                self.fractional
+                and gamma + start * s > self.floor
+                and 1.0 + gamma + start * s - alpha >= TAU_POLE
+            ):
                 try:
-                    value = gamma_ratio(gamma, r, alpha)
+                    values += [
+                        math.exp(math.lgamma(x := 1.0 + gamma + n * s) - math.lgamma(x - alpha))
+                        for n in block
+                    ]
+                    continue
                 except OverflowError:
-                    raise OverflowError(f"{kind.value} D^{alpha} of x^{q} overflows") from None
-            elif caputo and (j := round(q)) >= 0 and j - width <= q <= j + width:
-                value = 0.0
-            else:
-                raise DerivativeUndefinedError(f"{kind.value} D^{alpha} of x^{q} is undefined")
-            known[n] = value
-        return value
+                    pass
+            for n in block:
+                try:
+                    values.append(self(n))
+                except (ArithmeticError, ValueError):
+                    values.append(math.nan)
 
-    return rule
+
+def _tables(
+    eq: QuasiBesselEquation, gamma: float, s: float, ratios: Dict[tuple, _PowerRule]
+) -> List[_PowerRule]:
+    """Each term's table from ``ratios``, which is keyed, and shared by the
+    terms of one derivative, by (kind, alpha, gamma, s)."""
+    keys = [(eq.kind, t.alpha, gamma, s) for t in eq.terms]
+    for key in keys:
+        if key not in ratios:
+            ratios[key] = _PowerRule(*key)
+    return [ratios[key] for key in keys]
 
 
 def _fold(eq: QuasiBesselEquation, sol: SeriesSolution) -> Tuple[List[float], float]:
@@ -475,15 +551,19 @@ def _fold(eq: QuasiBesselEquation, sol: SeriesSolution) -> Tuple[List[float], fl
         return [], 0.0
     plan = compute_step(eq)
     shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
-    rules = [(t.d, _power_rule(eq.kind, t.alpha, sol.gamma, sol.s, sol.ratios)) for t in eq.terms]
+    tables = _tables(eq, sol.gamma, sol.s, sol.ratios)
+    for table in tables:
+        table.grow(len(sol.coefficients))
+    terms = [(t.d, tab, tab.values, shift) for t, tab, shift in zip(eq.terms, tables, shifts)]
     slots: List[List[float]] = [
         [] for _ in range(len(sol.coefficients) + max(shifts + [plan.n_beta]))
     ]
     for n, c in enumerate(sol.coefficients):
         if c == 0.0:
             continue
-        for (d, rule), shift in zip(rules, shifts):
-            slots[n + shift].append(d * c * rule(n))
+        for d, table, values, shift in terms:
+            q = values[n]
+            slots[n + shift].append(d * c * (q if q == q else table(n)))
         slots[n + plan.n_beta].append(c)
         slots[n].append(-eq.nu_squared * c)
     return [math.fsum(slot) for slot in reversed(slots)], math.fsum(map(abs, slots[0]))
@@ -501,8 +581,8 @@ def residual(
     and arguments, and every power the equation produces lies on the lattice:
     term i maps c_n x^(gamma+s*n) into slot n + n_p[i] (n_p = 0 for pure
     Bessel terms), x^beta into slot n + n_beta and -nu^2 into slot n.  The
-    derivatives are the recursion's own values where it made them (kept in
-    ``sol.ratios``), so only those it never reached are computed here.  Each
+    derivatives are read from the recursion's own tables (kept in
+    ``sol.ratios``), so only the indices it never reached are filled here.  Each
     slot is summed exactly rounded with math.fsum, so the result is the
     genuine defect of the truncated series up to rounding: slots up to the
     truncation point hold the recursion's arithmetic rounding, not its Gamma

@@ -147,6 +147,35 @@ def test_shifted_leading_term_is_fatal(tmp_path):
     assert solve_command(spec, tmp_path / "out") == EXIT_VALIDATION
 
 
+# Caputo D^1.5 with p = 0.5 leads; a d = 0 unshifted D^1.5 term, which the
+# term sort puts first, is absent and must not hide the shift
+_SHIFTED_LEADING_SPEC = {
+    "kind": "caputo",
+    "form": "quasi_bessel",
+    "terms": [{"d": "1", "alpha": "1.5", "p": "0.5"}, {"d": "1", "alpha": "0.5", "p": "0"}],
+    "beta": "1",
+    "nu": "1",
+    "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+}
+
+
+def test_zero_term_does_not_hide_a_shifted_leading_term(tmp_path, capsys):
+    zero = {"d": "0", "alpha": "1.5", "p": "0"}
+    lines = []
+    for terms in (_SHIFTED_LEADING_SPEC["terms"], [zero, *_SHIFTED_LEADING_SPEC["terms"]]):
+        spec = dict(_SHIFTED_LEADING_SPEC, terms=terms)
+        out = tmp_path / "out"
+        assert solve_command(write_spec(tmp_path, spec), out) == EXIT_VALIDATION
+        errors = [x for x in capsys.readouterr().err.splitlines() if x.startswith("error:")]
+        assert len(errors) == 1 and not out.exists()
+        lines.append(errors[0])
+    assert lines[0] == lines[1]
+    assert lines[0].startswith(
+        "error: [E_SHIFTED_LEADING_TERM] the highest-order derivative (alpha=1.5) carries "
+        "a positive shift p=1/2;"
+    )
+
+
 _ZERO_LEADING_SPECS = [
     # the only term is zero, so G is identically 0 and every recursion
     # denominator vanishes

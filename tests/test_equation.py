@@ -61,6 +61,23 @@ def test_validate_flags_shifted_leading_term():
     assert _fatal_codes(eq)[0] == "E_SHIFTED_LEADING_TERM"
 
 
+def test_zero_terms_take_no_part_in_the_leading_shift_rule():
+    # the verdict is taken from the highest-order terms with d != 0: a zero
+    # unshifted term does not hide a shifted one, nor does a zero shifted
+    # term shift an unshifted one
+    zero, shifted, pure = Term(0.0, 1.5, "0"), Term(1.0, 1.5, "0.5"), Term(1.0, 1.5, "0")
+    lower = Term(1.0, 0.5, "0")
+    for terms, fatal in [
+        ((shifted, lower), ["E_SHIFTED_LEADING_TERM"]),
+        ((zero, shifted, lower), ["E_SHIFTED_LEADING_TERM"]),
+        ((Term(0.0, 1.5, "0.5"), pure, lower), []),
+        ((zero, pure, shifted, lower), []),
+        ((Term(0.0, 1.5, "0.5"), lower), ["E_ZERO_LEADING_COEFFICIENT"]),
+    ]:
+        eq = QuasiBesselEquation(terms=terms, beta="1", nu_squared=1.0, kind=CAPUTO)
+        assert _fatal_codes(eq) == fatal, terms
+
+
 def test_validate_example2_single_integer_term():
     assert _fatal_codes(example2()) == []
 

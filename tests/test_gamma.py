@@ -213,3 +213,64 @@ def test_gamma_ratio_bit_identical_to_dataclass_version(arg, r, p):
     # the numerator argument 1 + gamma + r lands on (or next to) ``arg``
     gamma = arg - 1.0 - r
     assert _outcome(gamma_ratio, gamma, r, p) == _outcome(_ref_gamma_ratio, gamma, r, p)
+
+
+# gamma_ratio as it was before its fast path, verbatim apart from the name
+def _general_gamma_ratio(gamma: float, r: float, p: float) -> float:
+    x = 1.0 + gamma + r
+    num_log, num_sign = signed_log_gamma(x)
+    if num_sign == 0:
+        raise GammaPoleError(
+            f"Gamma pole in ratio numerator: 1+gamma+r = {x!r} is a nonpositive integer"
+        )
+    y = x - p
+    den_log, den_sign = signed_log_gamma(y)
+    if den_sign == 0:
+        return 0.0
+    k = round(p)
+    # the size guard keeps the product finite and admits only k <= 131
+    if abs(p - k) < TAU_POLE and k >= 0 and k * math.log10(abs(x) + k + 2.0) < 280.0:
+        prod = 1.0
+        for j in range(1, k + 1):
+            prod *= x - j
+        return prod
+    return num_sign * den_sign * math.exp(num_log - den_log)
+
+
+def _bits_outcome(fn, *args):
+    """The float's bits, or the exception's type and message."""
+    try:
+        return fn(*args).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, -5e-324,
+            2.2250738585072014e-308, 0.5, 1.0, 2.5, 30.25]
+# nonpositive integers and the points within TAU_POLE of them, and just beyond
+_NEAR_POLES = [n + e for n in (0, -1, -3, -40)
+               for e in (0.0, 0.5 * TAU_POLE, -0.5 * TAU_POLE, TAU_POLE, -TAU_POLE,
+                         2 * TAU_POLE, -2 * TAU_POLE)]
+_INTEGER_ORDERS = [k / 2 for k in range(0, 401)] + [k + e for k in (1, 2, 131, 200)
+                                                    for e in (0.5 * TAU_POLE, -2 * TAU_POLE)]
+
+
+def test_gamma_ratio_fast_path_keeps_every_outcome_on_special_inputs():
+    args = _SPECIAL + _NEAR_POLES
+    for gamma in args:
+        for r in (0.0, -0.0, 0.7, 1e300, math.inf, math.nan):
+            for p in args + [-p for p in _NEAR_POLES] + _INTEGER_ORDERS:
+                assert _bits_outcome(gamma_ratio, gamma, r, p) == _bits_outcome(
+                    _general_gamma_ratio, gamma, r, p
+                ), (gamma, r, p)
+
+
+_ANY_FLOAT = st.one_of(st.floats(), st.floats(-50.0, 250.0), st.sampled_from(_NEAR_POLES))
+
+
+@settings(max_examples=2000, derandomize=True, database=None)
+@given(gamma=_ANY_FLOAT, r=st.one_of(st.just(0.0), _ANY_FLOAT),
+       p=st.one_of(_ANY_FLOAT, st.sampled_from(_INTEGER_ORDERS)))
+def test_gamma_ratio_fast_path_keeps_every_outcome(gamma, r, p):
+    new, old = (_bits_outcome(f, gamma, r, p) for f in (gamma_ratio, _general_gamma_ratio))
+    assert new == old

@@ -20,7 +20,7 @@ EARLIER_NAMES = (
     "uniqueness_bound", "validate",
 )
 # earlier names that no solve stage called: validate returns its issues, c0
-# comes from the spec alone, and the power rule is series._power_rule
+# comes from the spec alone, and the power rule is series._PowerRule
 RETIRED_NAMES = ("ValidationReport", "c0_for_initial_derivative", "frac_derivative_power")
 
 

@@ -41,7 +41,7 @@ from quasibessel import (
     series,
 )
 from quasibessel.cli import build_equation
-from quasibessel.equation import DerivativeKind, ceil_order
+from quasibessel.equation import DerivativeKind, ceil_order, is_integer_order
 from quasibessel.gammafn import gamma_ratio
 from quasibessel.series import (
     CAPUTO_FLOOR_WIDTH,
@@ -976,7 +976,7 @@ def test_evaluate_and_residual_sum_only_the_terms_each_point_needs(monkeypatch):
 
 def _power(kind, alpha, q):
     """The power rule's coefficient of D^alpha x^q, at gamma = q and n = 0."""
-    return series._power_rule(kind, alpha, q, 0.0, {})(0)
+    return series._PowerRule(kind, alpha, q, 0.0)(0)
 
 
 def test_power_rule_trivial_cases():
@@ -1014,6 +1014,121 @@ def test_power_rule_preconditions():
         _power(CAPUTO, 1.5, 0.3)  # below ceil(alpha) - 1, not integer
     with pytest.raises(DerivativeUndefinedError):
         _power(CAPUTO, 1.5, 1 - 5e-10)  # beyond CAPUTO_FLOOR_WIDTH of 1
+
+
+# The power rule as it was before its values were kept in tables, verbatim
+# apart from the name: one memoised closure per (kind, alpha, gamma, s).
+def _memo_power_rule(kind, alpha, gamma, s, memo):
+    caputo = kind is DerivativeKind.CAPUTO and not is_integer_order(alpha)
+    width = CAPUTO_FLOOR_WIDTH
+    floor = ceil_order(alpha) - 1 + width if caputo else -1.0
+    known = memo.setdefault((kind, alpha, gamma, s), {})
+
+    def rule(n: int) -> float:
+        value = known.get(n)
+        if value is None:
+            r = n * s
+            q = gamma + r
+            if q > floor:
+                try:
+                    value = gamma_ratio(gamma, r, alpha)
+                except OverflowError:
+                    raise OverflowError(f"{kind.value} D^{alpha} of x^{q} overflows") from None
+            elif caputo and (j := round(q)) >= 0 and j - width <= q <= j + width:
+                value = 0.0
+            else:
+                raise DerivativeUndefinedError(f"{kind.value} D^{alpha} of x^{q} is undefined")
+            known[n] = value
+        return value
+
+    return rule
+
+
+def _rule_outcome(rule, n):
+    try:
+        return rule(n).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _table_case(draw):
+    kind = draw(st.sampled_from((CAPUTO, RL)))
+    step = draw(st.sampled_from((Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1))))
+    beta = step * draw(st.integers(1, 6))
+    # fractional, integer and near-integer orders, and one that overflows
+    # within a few dozen indices
+    order = st.one_of(
+        st.floats(0.1, 2.9),
+        st.sampled_from((1.0, 2.0, 1.0 + 5e-10, 2.0 - 2e-9, 150.5)),
+    )
+    alphas = sorted(draw(st.lists(order, min_size=1, max_size=3)), reverse=True)
+    ps = [Fraction(0)] + [
+        draw(st.sampled_from((0, step, 3 * step, beta))) for _ in alphas[1:]
+    ]
+    eq = QuasiBesselEquation(
+        terms=tuple(Term(1.0, a, p) for a, p in zip(alphas, ps)),
+        beta=beta,
+        nu_squared=draw(st.floats(0.0, 4.0)),
+        kind=kind,
+    )
+    # exponents at and around the Caputo floors, on the Caputo integer zeros,
+    # where 1 + q - alpha is a pole of Gamma, and anywhere
+    a = draw(st.sampled_from(alphas))
+    gamma = draw(st.one_of(
+        st.floats(-1.5, 4.0),
+        st.integers(-1, 2).map(float),
+        st.builds(lambda j, e: ceil_order(a) - 1 + j + e, st.integers(-1, 1),
+                  st.sampled_from((0.0, 1e-13, 2e-12, -2e-12))),
+        st.builds(lambda m, e: a - 1 - m + e, st.integers(0, 3), st.sampled_from((0.0, 1e-10))),
+    ))
+    return eq, gamma, draw(st.integers(1, 80))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=_table_case())
+def test_power_rule_tables_match_the_memoised_rule(case):
+    # every table entry the recursion or the fold fills, and so every one
+    # either reads, is the memoised rule's value bit for bit; an entry that
+    # holds NaN raises the memoised rule's error when it is read
+    eq, gamma, n_terms = case
+    plan = compute_step(eq)
+    s = plan.step_value
+    tables = {}
+    try:
+        sol = build_coefficients(eq, gamma, plan, n_terms=n_terms)
+        tables = sol.ratios
+        series._fold(eq, sol)
+    except (ArithmeticError, ValueError):
+        pass
+    # a build that raised keeps no tables: fill them as the recursion would
+    for t in eq.terms:
+        key = (eq.kind, t.alpha, gamma, s)
+        if key not in tables:
+            tables[key] = series._PowerRule(*key)
+            tables[key].grow(n_terms + 1)
+    memo = {}
+    for (kind, alpha, g, step), table in tables.items():
+        assert len(table.values) % series._BLOCK == 0
+        rule = _memo_power_rule(kind, alpha, g, step, memo)
+        for n, value in enumerate(table.values):
+            new = value.hex() if value == value else _rule_outcome(table, n)
+            assert new == _rule_outcome(rule, n), (alpha, g, n)
+
+
+def test_an_overflow_past_the_last_index_read_is_deferred():
+    # Caputo D^150.5 at gamma = 150.5 with s = 1: Gamma(196.5)/Gamma(46)
+    # overflows at n = 45, inside the block of n = 32..47, which a build of
+    # 44 steps fills
+    eq = QuasiBesselEquation(terms=(Term(1.0, 150.5, "0"),), beta="1", kind=CAPUTO)
+    plan = compute_step(eq)
+    sol = build_coefficients(eq, 150.5, plan, n_terms=44)
+    (table,) = sol.ratios.values()
+    assert len(table.values) == 48 and math.isnan(table.values[45])
+    assert residual(eq, sol, [0.5]) == residual(eq, sol, [0.5])
+    message = r"^caputo D\^150\.5 of x\^195\.5 overflows$"
+    with pytest.raises(OverflowError, match=message):
+        build_coefficients(eq, 150.5, plan, n_terms=45)
 
 
 # -- residual -----------------------------------------------------------------
@@ -1163,40 +1278,38 @@ def test_residual_rejects_nan():
         residual(eq, sol, [1.0, math.nan])
 
 
-def test_residual_takes_the_recursions_gamma_ratios(monkeypatch):
-    # the residual computes a ratio only at an index the recursion never
-    # reached: n = 0 of a pure term, and the top `shift` indices of a
-    # shifted one; its slots are bit-identical to those of a series that
-    # carries no ratios
+def test_residual_takes_the_recursions_gamma_ratios():
+    # the residual reads the recursion's tables as they are and fills only
+    # the shifted terms' top indices, which the recursion never reached; its
+    # slots are bit-identical to those of a series that carries no tables
     eq = example1(2.0)
     plan = compute_step(eq)
-    gamma = _valid_gamma(eq)
-    calls = []
-
-    def recorded(gamma, r, alpha):
-        calls.append((alpha, r))
-        return ratio(gamma, r, alpha)
-
-    ratio = series.gamma_ratio
-    monkeypatch.setattr(series, "gamma_ratio", recorded)
-    sol = build_coefficients(eq, gamma, plan, x_max=3.0)
-    built = set(calls)
-    calls.clear()
+    # N = 501: the recursion reads the p = 0.8 term (shift 8) up to n = 493,
+    # whose block ends at 495
+    sol = build_coefficients(eq, _valid_gamma(eq), plan, x_max=2.0)
+    n_top = len(sol.coefficients) - 1
+    assert n_top == 501
+    tables = series._tables(eq, sol.gamma, sol.s, sol.ratios)
+    built = [list(table.values) for table in tables]
     xs = [0.1, 1.0, 2.3, 3.0]
     res = residual(eq, sol, xs)
-    n_top = len(sol.coefficients) - 1
-    expected = []
-    for i, t in enumerate(eq.terms):
+    assert len(sol.ratios) == len(eq.terms)
+    filled = []
+    for i, (table, before) in enumerate(zip(tables, built)):
         shift = plan.n_p.get(i, 0)
-        reached = range(1, n_top + 1) if shift == 0 else range(n_top - shift + 1)
-        expected += [(t.alpha, n * sol.s) for n, c in enumerate(sol.coefficients)
-                     if c != 0.0 and n not in reached]
-    assert sorted(calls) == sorted(expected)
-    assert not built & set(calls)
+        assert len(before) >= n_top + 1 - shift
+        assert all(a is b for a, b in zip(table.values, before))
+        assert n_top + 1 <= len(table.values) < n_top + 1 + series._BLOCK
+        filled += [(shift, n) for n in range(len(before), len(table.values))]
+    assert filled and all(shift > 0 and n > n_top - shift for shift, n in filled)
     bare = SeriesSolution(gamma=sol.gamma, s=sol.s, coefficients=sol.coefficients,
                           truncation=sol.truncation)
-    assert series._fold(eq, bare) == series._fold(eq, sol)
-    assert residual(eq, bare, xs) == res
+    bare_bits, sol_bits = (
+        ([f.hex() for f in slots], floor.hex())
+        for slots, floor in (series._fold(eq, bare), series._fold(eq, sol))
+    )
+    assert bare_bits == sol_bits
+    assert [r.hex() for r in residual(eq, bare, xs)] == [r.hex() for r in res]
 
 
 # The residual's slots as folded before the Horner sum, apart from the names
