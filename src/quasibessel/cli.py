@@ -38,13 +38,15 @@ every numerical setting of the solve.  c0 must be finite and nonzero (c0 = 0
 gives the trivial solution u = 0), n_terms_max at least 1, and eps_tail
 finite and positive.
 
-Exit codes: 0 success (at least one valid, converged root); 2 validation
-failure, or an output directory that cannot be created or written; 3 no
-valid roots, or ``--root`` names a root that is not valid;
-4 numerical failure (overflow in the root search, every valid root failing
-with a denominator pole, an overflow, a coefficient underflow, reported as
-W_UNDERFLOW, or an undefined derivative, reported as W_DERIVATIVE_UNDEFINED,
-or no series converging).  Exits 2 and
+Exit codes: 0 success (at least one valid root whose series converged and
+kept its digits, with no W_CANCELLATION); 2 validation failure, such as
+E_ORDER_TOO_LARGE for a derivative order above equation.MAX_ORDER, or an
+output directory that cannot be created or written; 3 no valid roots, or
+``--root`` names a root that is not valid; 4 numerical failure (overflow in
+the root search, every valid root failing with a denominator pole, an
+overflow, a coefficient underflow, reported as W_UNDERFLOW, or an undefined
+derivative, reported as W_DERIVATIVE_UNDEFINED, no series converging, or
+every converged series losing its digits to cancellation).  Exits 2 and
 a root-search overflow write nothing, except that an output error may leave
 the files written before it.  Every other exit 3 or 4 still writes
 roots.csv and report.txt, plus the coefficient, solution and residual CSVs
@@ -53,7 +55,9 @@ line to stderr, or one per fatal issue when validation fails.
 
 report.txt's root list and roots.csv carry the same final statuses: a root
 whose series build meets a vanishing recursion denominator reads
-``denominator_pole`` in both.  The two reduction forms share one path:
+``denominator_pole`` in both.  A G cell of roots.csv is inf or -inf where
+a Gamma ratio of G leaves the float range, as at the Caputo integer
+exponents of an order above 171.  The two reduction forms share one path:
 ``constant_coefficients`` is ``power_factors`` with every beta_i and delta 0,
 and both require nu = 0.
 """
@@ -80,6 +84,7 @@ from .equation import (
     uniqueness_bound,
     validate,
 )
+from .gammafn import gamma_ratio, signed_log_gamma
 from .series import (
     EPS_TAIL,
     MAX_TERMS,
@@ -103,11 +108,6 @@ EXIT_NUMERICAL = 4
 
 class SpecFileError(ValueError):
     """The equation spec file is missing, malformed, or inconsistent."""
-
-
-def _fmt(v: float) -> str:
-    """Round-trip-safe float formatting (17 significant digits), used in CSVs."""
-    return f"{v:.17g}"
 
 
 def _require(spec: dict, key: str) -> object:
@@ -263,10 +263,24 @@ def _check_fields(spec: dict) -> None:
                 raise SpecFileError(f"unknown field {name!r} in {level}")
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    # every field is a number, an integer, a status word or empty, so none
-    # needs quoting
-    return "".join(",".join(row) + "\n" for row in [header, *rows])
+def _g_cell(eq: QuasiBesselEquation, gamma: float) -> float:
+    """G(gamma) for roots.csv.  A Gamma ratio beyond the float range, as at
+    the Caputo integer exponents of an order above 171, is taken as its
+    signed infinity: the sign of d_i times the signs of both Gamma values."""
+    try:
+        return characteristic_value(eq, gamma)
+    except OverflowError:
+        pass
+    total = -eq.nu_squared
+    for i in eq.pure_indices:
+        t = eq.terms[i]
+        try:
+            q = gamma_ratio(gamma, 0.0, t.alpha)
+        except OverflowError:
+            x = 1.0 + gamma
+            q = signed_log_gamma(x)[1] * signed_log_gamma(x - t.alpha)[1] * math.inf
+        total += t.d * q
+    return total
 
 
 def _oracle_check(
@@ -391,9 +405,11 @@ def solve_command(
     selected = [k for k, r in enumerate(roots) if r.is_valid and root_index in (None, k)]
     if selected:
         report += ["", "series solutions:"]
-    built = converged = 0
+    built = converged = usable = 0
     files: Dict[str, str] = {}  # written once, after the last root
-    x_cells = [_fmt(x) for x in xs]  # shared by every solution and residual CSV
+    # every CSV float has 17 significant digits, so it parses back exactly;
+    # no field needs quoting
+    x_cells = ["%.17g" % x for x in xs]  # shared by every solution and residual CSV
     for k in selected:
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -421,6 +437,8 @@ def solve_command(
         trunc = sol.truncation
         built += 1
         converged += trunc.converged
+        # evaluate is the one stage that warns, and only of cancellation
+        usable += trunc.converged and not caught
         if not trunc.converged:
             limit = (
                 f"coefficient c_{trunc.terms_used} passed the blow-up limit {_BLOWUP_LIMIT:g}"
@@ -434,17 +452,14 @@ def solve_command(
             f"tail_estimate = {trunc.tail_estimate!r}  converged = {trunc.converged}  "
             f"max |residual| on grid = {max(map(abs, res_vals))!r}"
         )
-        # one format per row, each float as _fmt writes it
         files[f"coefficients_{k}.csv"] = "n,c_n,exponent\n" + "".join(
             "%d,%.17g,%.17g\n" % (n, cn, sol.exponent(n)) for n, cn in enumerate(sol.coefficients)
         )
-        files[f"solution_{k}.csv"] = _csv(
-            ["x", "u"],
-            [[x, _fmt(u)] for x, u in zip(x_cells, u_vals)],
+        files[f"solution_{k}.csv"] = "x,u\n" + "".join(
+            "%s,%.17g\n" % row for row in zip(x_cells, u_vals)
         )
-        files[f"residual_{k}.csv"] = _csv(
-            ["x", "residual"],
-            [[x, _fmt(v)] for x, v in zip(x_cells, res_vals)],
+        files[f"residual_{k}.csv"] = "x,residual\n" + "".join(
+            "%s,%.17g\n" % row for row in zip(x_cells, res_vals)
         )
         if oracle:
             oracle_line = _oracle_check(eq, sol, xs, u_vals)
@@ -463,16 +478,12 @@ def solve_command(
         + (f" (collides after {r.collision_step} steps)" if r.collision_step else "")
         for k, r in enumerate(roots)
     ]
-    files["roots.csv"] = _csv(
-        ["gamma", "status", "collision_step", "G"],
-        [
-            [
-                _fmt(r.gamma), r.status.value,
-                "" if r.collision_step is None else str(r.collision_step),
-                _fmt(characteristic_value(eq, r.gamma)),
-            ]
-            for r in roots
-        ],
+    files["roots.csv"] = "gamma,status,collision_step,G\n" + "".join(
+        "%.17g,%s,%s,%.17g\n" % (
+            r.gamma, r.status.value, "" if r.collision_step is None else r.collision_step,
+            _g_cell(eq, r.gamma),
+        )
+        for r in roots
     )
     report += ["", "warnings:" if warning_lines else "warnings: none"]
     report += [f"  {line}" for line in warning_lines] + [""]
@@ -493,6 +504,8 @@ def solve_command(
         code, error = EXIT_NUMERICAL, "every valid root failed numerically"
     elif not converged:
         code, error = EXIT_NUMERICAL, "no series reached the tail tolerance"
+    elif not usable:
+        code, error = EXIT_NUMERICAL, "every converged series lost its digits to cancellation"
     else:
         return EXIT_OK
     print(f"error: {error}", file=sys.stderr)

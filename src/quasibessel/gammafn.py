@@ -67,24 +67,14 @@ def gamma_ratio(gamma: float, r: float, p: float) -> float:
     is a small nonnegative integer the ratio collapses to the falling product
     (x-1)(x-2)...(x-p), which is evaluated directly: it is exact where the
     log-space path would lose ~1e-14 of relative accuracy.
-
-    Where both Gamma arguments lie in [TAU_POLE, inf) and p is not within
-    TAU_POLE of an integer, the ratio is exp(lgamma(x) - lgamma(x - p)) at
-    once.  That is the same float, or the same exception, as the general
-    path: there signed_log_gamma returns (lgamma, +1) for both arguments, in
-    the same order, the falling product does not apply, and the signs
-    multiply to the integer 1.  Finite x and x - p make p finite, so round(p)
-    cannot raise; the first comparison rejects every argument below the cut.
     """
     x = 1.0 + gamma + r
-    y = x - p
-    if TAU_POLE <= y < math.inf and x >= TAU_POLE and abs(p - round(p)) >= TAU_POLE:
-        return math.exp(math.lgamma(x) - math.lgamma(y))
     num_log, num_sign = signed_log_gamma(x)
     if num_sign == 0:
         raise GammaPoleError(
             f"Gamma pole in ratio numerator: 1+gamma+r = {x!r} is a nonpositive integer"
         )
+    y = x - p
     den_log, den_sign = signed_log_gamma(y)
     if den_sign == 0:
         return 0.0

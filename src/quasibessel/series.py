@@ -29,13 +29,13 @@ onto integer lattice slots and evaluated as one more coefficient vector.
 Each derivative's ratios are one table, Q(0), Q(1), ..., indexed by n and
 filled _BLOCK indices at a time.  A block where the rule is a plain Gamma
 ratio at every index is one list of exp(lgamma - lgamma), the same floats
-gamma_ratio gives there; every other index takes the rule one at a time.
-The recursion reads a whole block of D_n at once.  An index where the rule
-raises holds NaN, and its error, overflow or an undefined derivative, is
-raised only when the recursion or the residual reads that index.  The
-tables are kept with the series the recursion returns, and the residual
-reads them from there: it fills only the shifted terms' top indices, which
-the recursion never reached.
+gamma_ratio gives there; every other block holds NaN, and NaN has one
+meaning: ask the rule at that index.  So an error of the rule, overflow or
+an undefined derivative, is raised only when the recursion or the residual
+reads that index.  The recursion sums D_n index by index from the pure
+terms' tables.  The tables are kept with the series the recursion returns,
+and the residual reads them from there: it fills only the shifted terms'
+top indices, which the recursion never reached.
 
 Evaluation and residual sum through one routine, _lattice_sums: Horner's
 rule in y = x^s on the integer lattice indices, scaled by x^gamma, with two
@@ -242,13 +242,10 @@ def build_coefficients(
     tau_denom = _TAU_DENOM_SCALE * (1.0 + eq.nu_squared)
     ratios: Dict[tuple, _PowerRule] = {}
     tables = _tables(eq, gamma, s, ratios)
-    pure = [(eq.terms[i].d, tables[i]) for i in eq.pure_indices]
+    pure = [(eq.terms[i].d, tables[i], tables[i].values) for i in eq.pure_indices]
     shifted = [
         (eq.terms[i].d, tables[i], tables[i].values, plan.n_p[i]) for i in eq.shifted_indices
     ]
-    # D_n, filled a block at a time as the tables are, each -nu^2 + d_j Q_j(n)
-    # in pure_indices order; D_0 is made but never read
-    dens: List[float] = []
 
     unit = [1.0]
     # log|c0 c_n| + (gamma + s n) ln x_max of each term made, n = 1, 2, ...
@@ -269,24 +266,17 @@ def build_coefficients(
                     table.grow(k + 1)
                 q = values[k]
                 num += unit[k] * d * (q if q == q else table(k))
-        if n >= len(dens):
-            start = len(dens)
-            block = [-eq.nu_squared] * _BLOCK
-            for d, table in pure:
-                table.grow(start + _BLOCK)
-                block = [v + d * q for v, q in zip(block, table.values[start : start + _BLOCK])]
-            dens += block
-        d_n = dens[n]
-        if d_n != d_n:  # a NaN Q, or inf - inf: the sum again, index by index
-            d_n = -eq.nu_squared
-            try:
-                for d, table in pure:
-                    q = table.values[n]
-                    d_n += d * (q if q == q else table(n))
-            except DerivativeUndefinedError:
-                if num != 0.0:
-                    raise
-                d_n = math.inf  # no term sits at n: c_n = -0/inf
+        d_n = -eq.nu_squared
+        try:
+            for d, table, values in pure:
+                if n >= len(values):
+                    table.grow(n + 1)
+                q = values[n]
+                d_n += d * (q if q == q else table(n))
+        except DerivativeUndefinedError:
+            if num != 0.0:
+                raise
+            d_n = math.inf  # no term sits at n: c_n = -0/inf
         if abs(d_n) < tau_denom:
             raise DenominatorPoleError(n, d_n)
         c = -num / d_n
@@ -475,11 +465,10 @@ class _PowerRule:
     TAU_POLE too.  Such a block is one list of
     exp(lgamma(x) - lgamma(x - alpha)), x = 1 + gamma + n*s formed as
     gamma_ratio forms it, which is gamma_ratio's value there (an x of inf
-    gives NaN).  Every other block, and a regular one that overflows, takes
-    the rule index by index, and an index where the rule raises holds NaN.
-    The rule never returns NaN: a reader that finds it calls the rule there,
-    so each error is raised, with its own message, only where an index is
-    read.
+    gives NaN).  Every other block, and a regular one that overflows, is
+    NaN.  The rule never returns NaN: NaN in the table means "ask the
+    rule", so a reader that finds it calls the rule at that index, and each
+    error is raised, with its own message, only where an index is read.
     """
 
     def __init__(self, kind: DerivativeKind, alpha: float, gamma: float, s: float):
@@ -509,25 +498,20 @@ class _PowerRule:
         values, gamma, alpha, s = self.values, self.gamma, self.alpha, self.s
         while len(values) < stop:
             start = len(values)
-            block = range(start, start + _BLOCK)
+            block = [math.nan] * _BLOCK
             if (
                 self.fractional
                 and gamma + start * s > self.floor
                 and 1.0 + gamma + start * s - alpha >= TAU_POLE
             ):
                 try:
-                    values += [
+                    block = [
                         math.exp(math.lgamma(x := 1.0 + gamma + n * s) - math.lgamma(x - alpha))
-                        for n in block
+                        for n in range(start, start + _BLOCK)
                     ]
-                    continue
                 except OverflowError:
                     pass
-            for n in block:
-                try:
-                    values.append(self(n))
-                except (ArithmeticError, ValueError):
-                    values.append(math.nan)
+            values += block
 
 
 def _tables(

@@ -4,8 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from quasibessel import __version__, characteristic, cli, series, specialfn
@@ -58,6 +60,13 @@ EXP_SPEC = {
     "terms": [{"d": "1", "alpha": "1"}],
     "domain": {"x_min": "0.1", "x_max": "1", "n_points": 10},
 }
+
+
+def _order_spec(alpha: str, **fields) -> dict:
+    # Caputo D^alpha u + u = 0 on [0.1, 1]
+    return dict(EXP_SPEC, terms=[{"d": "1", "alpha": alpha}],
+                domain={"x_min": "0.1", "x_max": "1", "n_points": 5}, **fields)
+
 
 # RL -x^2 D^2 u - x D u + (x - 1) u = 0: G(gamma) = -gamma(gamma - 1) -
 # gamma - 1 = -gamma^2 - 1 is negative on the whole scan
@@ -463,7 +472,8 @@ def test_root_search_without_sign_change_exits_no_roots(tmp_path, capsys):
 
 def test_cancellation_warning_is_reported(tmp_path, capsys):
     # Caputo u' + u = 0 on [0.1, 40]: the series of exp(-x) at x = 40 sums
-    # terms up to 40^40/40! ~ 1e16 to a value of 4e-18
+    # terms up to 40^40/40! ~ 1e16 to a value of 4e-18; the one series
+    # converged but lost its digits, so it is no success
     spec = {
         "kind": "caputo",
         "form": "constant_coefficients",
@@ -471,8 +481,10 @@ def test_cancellation_warning_is_reported(tmp_path, capsys):
         "domain": {"x_min": "0.1", "x_max": "40", "n_points": 10},
     }
     out = tmp_path / "out"
-    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_OK
-    assert capsys.readouterr().err == ""
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "error: every converged series lost its digits to cancellation\n"
+    )
     report = (out / "report.txt").read_text()
     assert report.count("[W_CANCELLATION]") == 1
     assert (
@@ -580,6 +592,67 @@ def test_cli_process_failure_prints_one_error_line(tmp_path, spec, target, code,
     assert done.returncode == code, done.stderr
     assert done.stderr.startswith(f"error: {error}") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _order_spec("171.5", r="1e300"),
+        dict(NO_SIGN_SPEC, terms=[{"d": "1", "alpha": "1e300", "p": "0"}], nu="0"),
+    ],
+    ids=["r", "alpha"],
+)
+def test_an_absurd_order_exits_2_at_once(tmp_path, capsys, spec):
+    # validation stops it before the root list, which grows with the order:
+    # closed-form roots alpha - k, and Caputo integers below ceil(alpha)
+    eq = cli.build_equation(spec)
+    assert [i.code for i in cli.validate(eq) if i.severity == "fatal"] == ["E_ORDER_TOO_LARGE"]
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert solve_command(write_spec(tmp_path, spec), out) == EXIT_VALIDATION
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: [E_ORDER_TOO_LARGE] the highest derivative order is {eq.alpha1!r}, above "
+        "the limit 1000: the root list grows with the order\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["171.5", "400.5"])
+def test_an_order_past_gammas_range_fails_numerically(tmp_path, capsys, alpha):
+    # Gamma(n_m0) overflows in the threshold, and Gamma(1 + j)/Gamma(1 + j -
+    # alpha) in G at the Caputo integer exponents j above about 170
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, _order_spec(alpha)), out) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "error: every valid root failed numerically\n"
+    report = (out / "report.txt").read_text()
+    assert "convergence threshold: nu^2_min = inf; nu^2 = 0.0 is below the guarantee" in report
+    assert "[W_NU_BELOW_THRESHOLD]" in report
+    rows = read_csv(out / "roots.csv")
+    infinite = [row for row in rows if math.isinf(float(row["G"]))]
+    assert infinite and all(float(row["gamma"]).is_integer() for row in infinite)
+    for row in infinite:
+        g = mp.mpf(row["gamma"])
+        # the sign of d Gamma(1 + g)/Gamma(1 + g - alpha), with d = 1
+        exact = mp.gamma(1 + g) * mp.rgamma(1 + g - mp.mpf(alpha))
+        assert (float(row["G"]) > 0) == (exact > 0), row
+    # every other cell is characteristic_value's
+    eq = cli.build_equation(_order_spec(alpha))
+    for row in rows:
+        if row not in infinite:
+            assert float(row["G"]) == characteristic.characteristic_value(eq, float(row["gamma"]))
+
+
+def test_an_infinite_g_cell_takes_the_sign_of_d_and_both_gammas():
+    # Caputo D^400.5: Gamma(1 + gamma)/Gamma(1 + gamma - 400.5) overflows at
+    # these gammas, with Gamma(-99.25) > 0 and Gamma(-98.75) < 0
+    for d in (1.0, -2.0):
+        eq = cli.build_equation(dict(_order_spec("400.5"), terms=[{"d": repr(d), "alpha": "400.5"}]))
+        for gamma in (300.0, 300.25, 300.75):
+            with pytest.raises(OverflowError):
+                characteristic.characteristic_value(eq, gamma)
+            exact = d * mp.gamma(1 + gamma) * mp.rgamma(1 + gamma - mp.mpf("400.5"))
+            assert cli._g_cell(eq, gamma) == math.copysign(math.inf, exact), (d, gamma)
 
 
 @pytest.mark.parametrize("lam", [600, 700])
@@ -846,14 +919,52 @@ def test_deterministic_output(tmp_path):
 
 
 def test_csv_floats_round_trip(tmp_path):
-    spec = write_spec(tmp_path, EXAMPLE1_SPEC)
+    # every float cell of the four CSVs parses back to exactly the value that
+    # the library computes in this process, and every header is exact
     out = tmp_path / "out"
-    solve_command(spec, out)
-    rows = read_csv(out / "coefficients_1.csv")
-    # 17 significant digits: parsing back and reformatting is the identity
-    for row in rows[:50]:
-        v = float(row["c_n"])
-        assert f"{v:.17g}" == row["c_n"]
+    assert solve_command(write_spec(tmp_path, EXAMPLE1_SPEC), out) == EXIT_OK
+    eq = cli.build_equation(EXAMPLE1_SPEC)
+    _, x_max, xs = cli._domain_grid(EXAMPLE1_SPEC)
+    c0, max_terms, eps_tail = cli._options(EXAMPLE1_SPEC)
+    plan = series.compute_step(eq)
+    roots = characteristic.screen_collisions(characteristic.find_roots(eq), plan)
+
+    def rows(name, header):
+        head, *lines = (out / name).read_text().splitlines()
+        assert head == header
+        return [line.split(",") for line in lines]
+
+    statuses = [r.status.value for r in roots]
+    built = 0
+    for k, root in enumerate(roots):
+        if not root.is_valid:
+            continue
+        try:
+            sol = series.build_coefficients(
+                eq, root.gamma, plan, c0=c0, x_max=x_max, eps_tail=eps_tail, max_terms=max_terms
+            )
+        except series.DenominatorPoleError:
+            statuses[k] = "denominator_pole"
+            continue
+        built += 1
+        table = rows(f"coefficients_{k}.csv", "n,c_n,exponent")
+        assert [(int(n), float(c), float(e)) for n, c, e in table] == [
+            (n, c, sol.exponent(n)) for n, c in enumerate(sol.coefficients)
+        ]
+        for name, header, values in (
+            (f"solution_{k}.csv", "x,u", series.evaluate(sol, xs)),
+            (f"residual_{k}.csv", "x,residual", series.residual(eq, sol, xs)),
+        ):
+            assert [tuple(map(float, row)) for row in rows(name, header)] == list(zip(xs, values))
+    assert built >= 1
+    assert [
+        (float(g), status, step, float(big_g))
+        for g, status, step, big_g in rows("roots.csv", "gamma,status,collision_step,G")
+    ] == [
+        (r.gamma, status, "" if r.collision_step is None else str(r.collision_step),
+         characteristic.characteristic_value(eq, r.gamma))
+        for r, status in zip(roots, statuses)
+    ]
 
 
 def test_csv_line_endings(tmp_path):

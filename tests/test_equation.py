@@ -98,6 +98,18 @@ def test_validate_rejects_equation_without_derivative(kind):
     assert _fatal_codes(eq) == ["E_NO_DERIVATIVE"]
 
 
+@pytest.mark.parametrize("kind", [CAPUTO, RL])
+def test_validate_rejects_an_order_above_the_limit(kind):
+    # the order is checked with r applied: 1.5 r = 1500 is above 1000
+    def codes(alpha, r=1.0):
+        return _fatal_codes(from_constant_coefficients([(1.0, alpha)], r=r, kind=kind))
+
+    assert codes("999.5") == [] and codes("1000") == []
+    assert codes("1000.5") == codes("1.5", r=1000.0) == ["E_ORDER_TOO_LARGE"]
+    eq = QuasiBesselEquation(terms=(Term(1.0, 1e300, "0"),), beta="1", kind=kind)
+    assert _fatal_codes(eq) == ["E_ORDER_TOO_LARGE"]
+
+
 def test_validate_rejects_a_zero_leading_coefficient():
     # d = 0 on the highest-order term is fatal; on a lower-order term it is
     # legal, and a zero pure Bessel coefficient there only warns
@@ -166,6 +178,22 @@ def test_nu_min_threshold_monotone_in_bessel_coefficient():
 
     values = [nu_min_threshold(with_d(d)) for d in (0.5, 1.0, 1.5, 4.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        (Term(1.0, 171.5, "0"),),  # Gamma(172) overflows
+        (Term(1.0, 400.5, "0"), Term(1.0, 0.5, "0")),  # and Gamma(401 - 0.5) first
+    ],
+    ids=["gamma-n_m0", "gamma-of-arg"],
+)
+def test_nu_min_threshold_is_inf_past_gammas_range(terms):
+    eq = QuasiBesselEquation(terms=terms, beta="1", kind=CAPUTO)
+    assert nu_min_threshold(eq) == math.inf
+    # Gamma(171)/Gamma(0.5) is still in range
+    below = QuasiBesselEquation(terms=(Term(1.0, 170.5, "0"),), beta="1", kind=CAPUTO)
+    assert nu_min_threshold(below) == pytest.approx(float(mp.gamma(171) / mp.gamma(0.5)))
 
 
 def test_nu_min_threshold_gamma_pole_is_error():

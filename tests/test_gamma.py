@@ -215,7 +215,8 @@ def test_gamma_ratio_bit_identical_to_dataclass_version(arg, r, p):
     assert _outcome(gamma_ratio, gamma, r, p) == _outcome(_ref_gamma_ratio, gamma, r, p)
 
 
-# gamma_ratio as it was before its fast path, verbatim apart from the name
+# gamma_ratio verbatim apart from the name, frozen as the reference for
+# special inputs: a shortcut added to gamma_ratio must keep every outcome
 def _general_gamma_ratio(gamma: float, r: float, p: float) -> float:
     x = 1.0 + gamma + r
     num_log, num_sign = signed_log_gamma(x)

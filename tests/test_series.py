@@ -1089,8 +1089,8 @@ def _table_case(draw):
 @given(case=_table_case())
 def test_power_rule_tables_match_the_memoised_rule(case):
     # every table entry the recursion or the fold fills, and so every one
-    # either reads, is the memoised rule's value bit for bit; an entry that
-    # holds NaN raises the memoised rule's error when it is read
+    # either reads, is the memoised rule's value bit for bit, or NaN; NaN
+    # means "ask the rule", which gives the memoised rule's value or error
     eq, gamma, n_terms = case
     plan = compute_step(eq)
     s = plan.step_value
