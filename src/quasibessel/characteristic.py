@@ -31,8 +31,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
 from .gammafn import TAU_POLE, gamma_ratio
@@ -73,8 +72,7 @@ class RootStatus(enum.Enum):
     DENOMINATOR_POLE = "denominator_pole"
 
 
-@dataclass(frozen=True)
-class CharacteristicRoot:
+class CharacteristicRoot(NamedTuple):
     """A root gamma of G with its screening outcome.
 
     ``collision_step`` is the step count n at which gamma + s*n lands on a
@@ -357,7 +355,7 @@ def screen_collisions(
                 hit = n if hit is None else min(hit, n)
         if hit is not None:
             screened.append(
-                replace(root, status=RootStatus.COLLISION_INVALID, collision_step=hit)
+                root._replace(status=RootStatus.COLLISION_INVALID, collision_step=hit)
             )
         else:
             screened.append(root)

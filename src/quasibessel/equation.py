@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .gammafn import TAU_POLE
 from .rational import RationalLike, as_rational
@@ -76,7 +74,6 @@ def ceil_order(alpha: float) -> int:
     return math.ceil(alpha)
 
 
-@dataclass(frozen=True)
 class Term:
     """One derivative term d * x^(alpha+p) * D^alpha u.
 
@@ -84,93 +81,80 @@ class Term:
     exact fraction (decimal strings are accepted and parsed exactly).
     """
 
-    d: float
-    alpha: float
-    p: Fraction = Fraction(0)
+    __slots__ = ("d", "alpha", "p")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", as_rational(self.p))
-        if not math.isfinite(self.d):
-            raise ValueError(f"term coefficient must be finite, got {self.d}")
-        if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise ValueError(f"derivative order must be finite and >= 0, got {self.alpha}")
+    def __init__(self, d: float, alpha: float, p: RationalLike = Fraction(0)) -> None:
+        self.p = as_rational(p)
+        if not math.isfinite(d):
+            raise ValueError(f"term coefficient must be finite, got {d}")
+        if not math.isfinite(alpha) or alpha < 0:
+            raise ValueError(f"derivative order must be finite and >= 0, got {alpha}")
         if self.p < 0:
             raise ValueError(f"shifting index must be >= 0, got {self.p}")
+        self.d = d
+        self.alpha = alpha
 
     @property
     def is_pure_bessel(self) -> bool:
         return self.p == 0
 
 
-@dataclass(frozen=True)
 class QuasiBesselEquation:
-    """The full problem statement; immutable after construction.
+    """The full problem statement.  Every field, and the classification
+    derived from the terms, is set once at construction.
 
     ``beta`` and every ``Term.p`` are exact rationals in units of ``r``; the
     true powers are r * beta and r * p.  Terms are normalised to descending
     derivative order (ties broken so an unshifted term comes first).
+
+    Derived from the terms: ``pure_indices`` (the pure Bessel terms, p = 0),
+    ``shifted_indices`` (the others), ``fractional_pure_indices`` (the pure
+    terms of non-integer order), ``n_max`` (the largest integer ceiling of a
+    non-integer order, None when every order is an integer) and ``n_m0``
+    (the same over the fractional pure orders).
     """
 
-    terms: Tuple[Term, ...]
-    beta: Fraction
-    nu_squared: float = 0.0
-    r: float = 1.0
-    kind: DerivativeKind = DerivativeKind.CAPUTO
+    __slots__ = (
+        "terms", "beta", "nu_squared", "r", "kind",
+        "pure_indices", "shifted_indices", "fractional_pure_indices", "n_max", "n_m0",
+    )
 
-    def __post_init__(self) -> None:
-        terms = tuple(sorted(self.terms, key=lambda t: (-t.alpha, t.p)))
-        if not terms:
+    def __init__(
+        self, terms: Sequence[Term], beta: RationalLike, nu_squared: float = 0.0,
+        r: float = 1.0, kind: DerivativeKind = DerivativeKind.CAPUTO,
+    ) -> None:
+        self.terms = tuple(sorted(terms, key=lambda t: (-t.alpha, t.p)))
+        if not self.terms:
             raise ValueError("equation needs at least one derivative term")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "beta", as_rational(self.beta))
+        self.beta = as_rational(beta)
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not math.isfinite(self.nu_squared) or self.nu_squared < 0:
-            raise ValueError(f"nu_squared must be finite and >= 0, got {self.nu_squared}")
-        if not math.isfinite(self.r) or self.r <= 0:
-            raise ValueError(f"common factor r must be finite and > 0, got {self.r}")
-
-    # -- derived classification -------------------------------------------
-
-    @cached_property
-    def pure_indices(self) -> Tuple[int, ...]:
-        """Indices of pure Bessel terms (p = 0)."""
-        return tuple(i for i, t in enumerate(self.terms) if t.is_pure_bessel)
-
-    @cached_property
-    def shifted_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.terms) if not t.is_pure_bessel)
+        if not math.isfinite(nu_squared) or nu_squared < 0:
+            raise ValueError(f"nu_squared must be finite and >= 0, got {nu_squared}")
+        if not math.isfinite(r) or r <= 0:
+            raise ValueError(f"common factor r must be finite and > 0, got {r}")
+        self.nu_squared = nu_squared
+        self.r = r
+        self.kind = kind
+        self.pure_indices = tuple(i for i, t in enumerate(self.terms) if t.is_pure_bessel)
+        self.shifted_indices = tuple(i for i, t in enumerate(self.terms) if not t.is_pure_bessel)
+        self.fractional_pure_indices = tuple(
+            i for i in self.pure_indices if not is_integer_order(self.terms[i].alpha)
+        )
+        ceilings = [ceil_order(t.alpha) for t in self.terms if not is_integer_order(t.alpha)]
+        self.n_max = max(ceilings, default=None)
+        ceilings = [ceil_order(self.terms[i].alpha) for i in self.fractional_pure_indices]
+        self.n_m0 = max(ceilings, default=None)
 
     @property
     def m1(self) -> int:
         """Number of pure Bessel terms."""
         return len(self.pure_indices)
 
-    @cached_property
-    def fractional_pure_indices(self) -> Tuple[int, ...]:
-        return tuple(
-            i for i in self.pure_indices if not is_integer_order(self.terms[i].alpha)
-        )
-
     @property
     def m0(self) -> int:
         """Number of pure Bessel terms with non-integer derivative order."""
         return len(self.fractional_pure_indices)
-
-    @cached_property
-    def n_max(self) -> Optional[int]:
-        """Max integer ceiling over the non-integer derivative orders, or
-        None when every order is an integer."""
-        ceilings = [
-            ceil_order(t.alpha) for t in self.terms if not is_integer_order(t.alpha)
-        ]
-        return max(ceilings) if ceilings else None
-
-    @cached_property
-    def n_m0(self) -> Optional[int]:
-        """Max integer ceiling over the fractional pure Bessel orders."""
-        ceilings = [ceil_order(self.terms[i].alpha) for i in self.fractional_pure_indices]
-        return max(ceilings) if ceilings else None
 
     @property
     def alpha1(self) -> float:
@@ -204,8 +188,7 @@ WARNING = "warning"
 MAX_ORDER = 1000.0
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     code: str
     severity: str
     message: str

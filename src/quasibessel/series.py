@@ -51,9 +51,8 @@ import math
 import sys
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
 from .gammafn import TAU_POLE, gamma_ratio
@@ -124,8 +123,7 @@ class CancellationWarning(UserWarning):
     """Series evaluation lost most of its significant digits to cancellation."""
 
 
-@dataclass(frozen=True)
-class StepPlan:
+class StepPlan(NamedTuple):
     """Step s (exact, in units of r) and the integer shifts of beta and the
     nonzero shifting indices onto the lattice.
 
@@ -146,8 +144,7 @@ class StepPlan:
         return float(self.s) * self.r
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(NamedTuple):
     terms_used: int
     tail_estimate: float
     converged: bool
@@ -155,17 +152,22 @@ class Truncation:
     blown_up: bool = False
 
 
-@dataclass(frozen=True)
 class SeriesSolution:
     """Truncated series sum c_n x^(gamma + s*n); s carries the factor r."""
 
-    gamma: float
-    s: float
-    coefficients: List[float]
-    truncation: Truncation
-    # the power rule's tables by (kind, alpha, gamma, s), as the recursion
-    # filled them: residual reads them, and fills only the indices beyond
-    ratios: Dict[tuple, _PowerRule] = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("gamma", "s", "coefficients", "truncation", "ratios")
+
+    def __init__(
+        self, gamma: float, s: float, coefficients: List[float], truncation: Truncation,
+        ratios: Optional[Dict[tuple, _PowerRule]] = None,
+    ) -> None:
+        self.gamma = gamma
+        self.s = s
+        self.coefficients = coefficients
+        self.truncation = truncation
+        # the power rule's tables by (kind, alpha, gamma, s), as the recursion
+        # filled them: residual reads them, and fills only the indices beyond
+        self.ratios = {} if ratios is None else ratios
 
     def exponent(self, n: int) -> float:
         return self.gamma + self.s * n
@@ -239,6 +241,7 @@ def build_coefficients(
     if x_max <= 0:
         raise ValueError(f"x_max must be positive, got {x_max}")
     s = plan.step_value
+    n_beta = plan.n_beta  # read once: a NamedTuple field is a slow read in a loop
     tau_denom = _TAU_DENOM_SCALE * (1.0 + eq.nu_squared)
     ratios: Dict[tuple, _PowerRule] = {}
     tables = _tables(eq, gamma, s, ratios)
@@ -257,8 +260,8 @@ def build_coefficients(
     converged = False
     for n in range(1, limit + 1):
         num = 0.0
-        if n >= plan.n_beta:
-            num += unit[n - plan.n_beta]
+        if n >= n_beta:
+            num += unit[n - n_beta]
         for d, table, values, shift in shifted:
             k = n - shift
             if k >= 0 and unit[k] != 0.0:
@@ -292,11 +295,11 @@ def build_coefficients(
         sizes.append(size)
         small_run = small_run + 1 if size < log_eps else 0
         blown_up = abs(c) > _BLOWUP_LIMIT
-        converged = not blown_up and small_run >= plan.n_beta
+        converged = not blown_up and small_run >= n_beta
         if blown_up or (converged and n_terms is None):
             break
 
-    tail_log = max(sizes[-plan.n_beta:], default=-math.inf)
+    tail_log = max(sizes[-n_beta:], default=-math.inf)
     tail = math.exp(tail_log) if tail_log < 700.0 else math.inf
     return SeriesSolution(
         gamma=gamma,
@@ -443,8 +446,8 @@ class _PowerRule:
     q = gamma + n*s as a function of the lattice index n, ceil(alpha) taken
     once: the ratio is gamma_ratio(gamma, n*s, alpha), whose Gamma argument
     is 1 + gamma + n*s, which can round differently from 1 + q.  A ratio
-    beyond the float range raises OverflowError naming the derivative and
-    the exponent.
+    beyond the float range, or an exponent q that is itself inf, raises
+    OverflowError naming the derivative and the exponent.
 
     Riemann-Liouville needs q > -1, and the coefficient is exactly zero when
     q+1-alpha is a nonpositive integer.  For a fractional order, Caputo of
@@ -483,11 +486,11 @@ class _PowerRule:
         q = self.gamma + r
         if q > self.floor:
             try:
-                return gamma_ratio(self.gamma, r, self.alpha)
+                if q < math.inf:  # an exponent of inf overflows as a ratio does
+                    return gamma_ratio(self.gamma, r, self.alpha)
             except OverflowError:
-                raise OverflowError(
-                    f"{self.kind.value} D^{self.alpha} of x^{q} overflows"
-                ) from None
+                pass
+            raise OverflowError(f"{self.kind.value} D^{self.alpha} of x^{q} overflows")
         width = CAPUTO_FLOOR_WIDTH
         if self.caputo and (j := round(q)) >= 0 and j - width <= q <= j + width:
             return 0.0
@@ -535,12 +538,13 @@ def _fold(eq: QuasiBesselEquation, sol: SeriesSolution) -> Tuple[List[float], fl
         return [], 0.0
     plan = compute_step(eq)
     shifts = [plan.n_p.get(i, 0) for i in range(len(eq.terms))]
+    n_beta = plan.n_beta
     tables = _tables(eq, sol.gamma, sol.s, sol.ratios)
     for table in tables:
         table.grow(len(sol.coefficients))
     terms = [(t.d, tab, tab.values, shift) for t, tab, shift in zip(eq.terms, tables, shifts)]
     slots: List[List[float]] = [
-        [] for _ in range(len(sol.coefficients) + max(shifts + [plan.n_beta]))
+        [] for _ in range(len(sol.coefficients) + max(shifts + [n_beta]))
     ]
     for n, c in enumerate(sol.coefficients):
         if c == 0.0:
@@ -548,7 +552,7 @@ def _fold(eq: QuasiBesselEquation, sol: SeriesSolution) -> Tuple[List[float], fl
         for d, table, values, shift in terms:
             q = values[n]
             slots[n + shift].append(d * c * (q if q == q else table(n)))
-        slots[n + plan.n_beta].append(c)
+        slots[n + n_beta].append(c)
         slots[n].append(-eq.nu_squared * c)
     return [math.fsum(slot) for slot in reversed(slots)], math.fsum(map(abs, slots[0]))
 

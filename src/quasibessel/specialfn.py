@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .gammafn import GammaPoleError, signed_log_gamma
@@ -27,20 +26,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class KilbasSaigoParams:
     """Parameters of E_{alpha,m,l}(z) = sum_k c_k z^k with c_0 = 1 and
     c_k = prod_{j<k} Gamma(alpha(jm+l)+1)/Gamma(alpha(jm+l+1)+1)."""
 
-    alpha: float
-    m: float
-    l: float
+    __slots__ = ("alpha", "m", "l")
 
-    def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.m <= 0:
-            raise ValueError(f"m must be positive, got {self.m}")
+    def __init__(self, alpha: float, m: float, l: float) -> None:
+        if alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        if m <= 0:
+            raise ValueError(f"m must be positive, got {m}")
+        self.alpha = alpha
+        self.m = m
+        self.l = l
 
 
 def mittag_leffler(alpha: float, z: float, n_terms: int = 60) -> float:

@@ -68,6 +68,18 @@ def _order_spec(alpha: str, **fields) -> dict:
                 domain={"x_min": "0.1", "x_max": "1", "n_points": 5}, **fields)
 
 
+# Caputo D^1.5 u + (x^(3r) - 4) u = 0 with r = 1e308: the step s*r = 3e308
+# is inf, so every lattice exponent gamma + n*s past n = 0 is inf
+INFINITE_STEP_SPEC = {
+    "kind": "caputo",
+    "form": "quasi_bessel",
+    "terms": [{"d": "1", "alpha": "1.5"}],
+    "beta": "3",
+    "nu": "2",
+    "r": "1e308",
+    "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+}
+
 # RL -x^2 D^2 u - x D u + (x - 1) u = 0: G(gamma) = -gamma(gamma - 1) -
 # gamma - 1 = -gamma^2 - 1 is negative on the whole scan
 NO_SIGN_SPEC = {
@@ -547,6 +559,10 @@ def test_no_oracle_is_reported(tmp_path, capsys):
     ) in report
 
 
+def _points_spec(n_points: int) -> dict:
+    return dict(EXP_SPEC, domain=dict(EXP_SPEC["domain"], n_points=n_points))
+
+
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
     # python -m quasibessel.cli in its own process, on this tree's package
     src = Path(cli.__file__).resolve().parents[1]
@@ -577,10 +593,12 @@ def test_cli_process_prints_version_and_solves(tmp_path):
         (dict(EXP_SPEC, Nu="2"), "out", EXIT_VALIDATION, "unknown field 'Nu' in the top level"),
         (NO_SIGN_SPEC, "out", EXIT_NO_ROOTS, "no valid characteristic roots"),
         (dict(EXP_SPEC, options={"n_terms_max": 1}), "out", EXIT_NUMERICAL, "no series reached"),
+        (INFINITE_STEP_SPEC, "out", EXIT_NUMERICAL, "every valid root failed numerically"),
+        (_points_spec(10**18), "out", EXIT_VALIDATION, "n_points must be at most 1000000"),
     ],
     ids=[
         "missing-spec", "not-json", "output-is-a-file", "zero-c0", "unknown-field",
-        "no-sign-change", "one-term-cap",
+        "no-sign-change", "one-term-cap", "infinite-exponent", "too-many-points",
     ],
 )
 def test_cli_process_failure_prints_one_error_line(tmp_path, spec, target, code, error):
@@ -616,6 +634,29 @@ def test_an_absurd_order_exits_2_at_once(tmp_path, capsys, spec):
         "the limit 1000: the root list grows with the order\n"
     )
     assert not out.exists()
+
+
+def test_too_many_grid_points_exit_2_at_once(tmp_path, capsys):
+    # the limit is checked before the grid is built
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert solve_command(write_spec(tmp_path, _points_spec(10**18)), out) == EXIT_VALIDATION
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: n_points must be at most {cli.MAX_POINTS}, got {10**18}\n"
+    )
+    assert not out.exists()
+    assert len(cli._domain_grid(_points_spec(cli.MAX_POINTS))[2]) == cli.MAX_POINTS
+
+
+def test_an_exponent_beyond_the_float_range_fails_its_root(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert solve_command(write_spec(tmp_path, INFINITE_STEP_SPEC), out) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "error: every valid root failed numerically\n"
+    report = (out / "report.txt").read_text()
+    assert "  s = 3 in units of r;  step s*r = inf\n" in report
+    assert "[W_OVERFLOW] root 1: caputo D^1.5 of x^inf overflows\n" in report
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt", "roots.csv"]
 
 
 @pytest.mark.parametrize("alpha", ["171.5", "400.5"])

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import quasibessel
 
@@ -45,3 +49,19 @@ def test_every_earlier_public_name_still_imports():
     assert set(star) == set(quasibessel.__all__) >= set(EARLIER_NAMES)
     for name in RETIRED_NAMES:
         assert not hasattr(quasibessel, name), name
+
+
+def test_cold_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which once made up
+    # most of the import time that every solve pays first
+    src = Path(quasibessel.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    probe = (
+        "import sys, quasibessel.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
