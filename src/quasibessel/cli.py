@@ -67,7 +67,6 @@ and both require nu = 0.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -76,8 +75,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .characteristic import RootStatus, characteristic_value, find_roots, screen_collisions
+from .characteristic import RootStatus, find_roots, screen_collisions
 from .equation import (
+    FATAL,
     DerivativeKind,
     QuasiBesselEquation,
     Term,
@@ -107,11 +107,13 @@ EXIT_VALIDATION = 2
 EXIT_NO_ROOTS = 3
 EXIT_NUMERICAL = 4
 
-# The most grid points a spec may ask for.  The grid, each root's u and
-# residual values and every CSV text are built in memory before anything is
-# written: on 2 shared CPUs with Python 3.11, Caputo u' + u = 0 (one root)
-# at 10^6 points takes 4.6 s and 466 MB peak RSS and writes 80 MB, and each
-# further root adds its own share, so 10^8 points would exhaust memory.
+# The most grid points a spec may ask for.  The grid and one root's u and
+# residual values and CSV texts are in memory at a time, since each root's
+# files are written as soon as its series is built.  On 2 shared CPUs with
+# Python 3.11, Caputo u' + u = 0 (one root) at 10^6 points takes 4.6 s and
+# 466 MB peak RSS and writes 80 MB; at 2*10^5 points a spec with two valid
+# roots peaks at about 105 MB, as one root does.  10^8 points would exhaust
+# memory.
 MAX_POINTS = 10**6
 
 
@@ -275,13 +277,11 @@ def _check_fields(spec: dict) -> None:
 
 
 def _g_cell(eq: QuasiBesselEquation, gamma: float) -> float:
-    """G(gamma) for roots.csv.  A Gamma ratio beyond the float range, as at
-    the Caputo integer exponents of an order above 171, is taken as its
-    signed infinity: the sign of d_i times the signs of both Gamma values."""
-    try:
-        return characteristic_value(eq, gamma)
-    except OverflowError:
-        pass
+    """G(gamma) for roots.csv, summed as ``characteristic_value`` sums it:
+    -nu^2, then + d_i * Q_i per pure term in ``pure_indices`` order.  A Gamma
+    ratio beyond the float range, as at the Caputo integer exponents of an
+    order above 171, is taken as its signed infinity: the sign of d_i times
+    the signs of both Gamma values."""
     total = -eq.nu_squared
     for i in eq.pure_indices:
         t = eq.terms[i]
@@ -292,6 +292,12 @@ def _g_cell(eq: QuasiBesselEquation, gamma: float) -> float:
             q = signed_log_gamma(x)[1] * signed_log_gamma(x - t.alpha)[1] * math.inf
         total += t.d * q
     return total
+
+
+def _write_files(output_dir: Path, files: Dict[str, str]) -> None:
+    output_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (output_dir / name).write_text(text, encoding="utf-8", newline="")
 
 
 def _oracle_check(
@@ -322,12 +328,15 @@ def solve_command(
 ) -> int:
     """Run the full pipeline and write the report and CSVs to output_dir.
 
-    One pass: each selected root's report line is appended as its series is
-    built, the root list is filled in from the statuses that build leaves,
-    every file is written once after the last root, and the exit code and its
-    stderr line are chosen once, after that write.  An OSError while
-    creating output_dir or writing a file prints ``error: cannot write
-    output: ...`` and exits 2.
+    One pass: each selected root's report line is appended and its
+    coefficient, solution and residual CSVs are written as soon as its series
+    is built, so no root's texts are held until the last root.  The root list
+    is then filled in from the statuses that build leaves, roots.csv and
+    report.txt are written last, and the exit code and its stderr line are
+    chosen once, after that write.  output_dir is created just before the
+    first write.  An OSError while creating output_dir or writing a file
+    prints ``error: cannot write output: ...`` and exits 2, leaving the files
+    written before it.
     """
     try:
         spec = load_spec(spec_path)
@@ -353,11 +362,11 @@ def solve_command(
     issues = validate(eq)
     for issue in issues:
         line = f"[{issue.code}] {issue.message}"
-        if issue.severity == "fatal":
+        if issue.severity == FATAL:
             print(f"error: {line}", file=sys.stderr)
         else:
             warning_lines.append(line)
-    if any(issue.severity == "fatal" for issue in issues):
+    if any(issue.severity == FATAL for issue in issues):
         return EXIT_VALIDATION
 
     plan = compute_step(eq)
@@ -417,92 +426,96 @@ def solve_command(
     if selected:
         report += ["", "series solutions:"]
     built = converged = usable = 0
-    files: Dict[str, str] = {}  # written once, after the last root
     # every CSV float has 17 significant digits, so it parses back exactly;
     # no field needs quoting
     x_cells = ["%.17g" % x for x in xs]  # shared by every solution and residual CSV
-    for k in selected:
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                sol = build_coefficients(
-                    eq, roots[k].gamma, plan, c0=c0,
-                    x_max=x_max, eps_tail=tail_eps, max_terms=n_terms_max,
+    try:  # an OSError from any write exits 2
+        for k in selected:
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    sol = build_coefficients(
+                        eq, roots[k].gamma, plan, c0=c0,
+                        x_max=x_max, eps_tail=tail_eps, max_terms=n_terms_max,
+                    )
+                    u_vals = evaluate(sol, xs)
+                    res_vals = residual(eq, sol, xs)
+            except (ArithmeticError, DerivativeUndefinedError) as exc:
+                if isinstance(exc, DenominatorPoleError):
+                    roots[k] = roots[k]._replace(status=RootStatus.DENOMINATOR_POLE)
+                    warning_lines.append(f"[W_DENOMINATOR_POLE] root {k}: {exc}")
+                elif isinstance(exc, DerivativeUndefinedError):
+                    warning_lines.append(f"[W_DERIVATIVE_UNDEFINED] root {k}: {exc}")
+                elif isinstance(exc, CoefficientUnderflowError):
+                    warning_lines.append(f"[W_UNDERFLOW] root {k}: {exc}")
+                else:
+                    warning_lines.append(f"[W_OVERFLOW] root {k}: {exc}")
+                report.append(f"  root [{k}]: failed - {exc}")
+                continue
+            for w in caught:
+                warning_lines.append(f"[W_CANCELLATION] root {k}: {w.message}")
+            trunc = sol.truncation
+            built += 1
+            converged += trunc.converged
+            # evaluate is the one stage that warns, and only of cancellation
+            usable += trunc.converged and not caught
+            if not trunc.converged:
+                limit = (
+                    f"coefficient c_{trunc.terms_used} passed the blow-up limit {_BLOWUP_LIMIT:g}"
+                    if trunc.blown_up else f"truncation cap {n_terms_max} reached"
                 )
-                u_vals = evaluate(sol, xs)
-                res_vals = residual(eq, sol, xs)
-        except (ArithmeticError, DerivativeUndefinedError) as exc:
-            if isinstance(exc, DenominatorPoleError):
-                roots[k] = roots[k]._replace(status=RootStatus.DENOMINATOR_POLE)
-                warning_lines.append(f"[W_DENOMINATOR_POLE] root {k}: {exc}")
-            elif isinstance(exc, DerivativeUndefinedError):
-                warning_lines.append(f"[W_DERIVATIVE_UNDEFINED] root {k}: {exc}")
-            elif isinstance(exc, CoefficientUnderflowError):
-                warning_lines.append(f"[W_UNDERFLOW] root {k}: {exc}")
-            else:
-                warning_lines.append(f"[W_OVERFLOW] root {k}: {exc}")
-            report.append(f"  root [{k}]: failed - {exc}")
-            continue
-        for w in caught:
-            warning_lines.append(f"[W_CANCELLATION] root {k}: {w.message}")
-        trunc = sol.truncation
-        built += 1
-        converged += trunc.converged
-        # evaluate is the one stage that warns, and only of cancellation
-        usable += trunc.converged and not caught
-        if not trunc.converged:
-            limit = (
-                f"coefficient c_{trunc.terms_used} passed the blow-up limit {_BLOWUP_LIMIT:g}"
-                if trunc.blown_up else f"truncation cap {n_terms_max} reached"
-            )
-            warning_lines.append(
-                f"[W_NOT_CONVERGED] root {k}: {limit} before the tail fell below eps_tail"
-            )
-        report.append(
-            f"  root [{k}]: gamma = {sol.gamma!r}  N = {trunc.terms_used}  "
-            f"tail_estimate = {trunc.tail_estimate!r}  converged = {trunc.converged}  "
-            f"max |residual| on grid = {max(map(abs, res_vals))!r}"
-        )
-        files[f"coefficients_{k}.csv"] = "n,c_n,exponent\n" + "".join(
-            "%d,%.17g,%.17g\n" % (n, cn, sol.exponent(n)) for n, cn in enumerate(sol.coefficients)
-        )
-        files[f"solution_{k}.csv"] = "x,u\n" + "".join(
-            "%s,%.17g\n" % row for row in zip(x_cells, u_vals)
-        )
-        files[f"residual_{k}.csv"] = "x,residual\n" + "".join(
-            "%s,%.17g\n" % row for row in zip(x_cells, res_vals)
-        )
-        if oracle:
-            oracle_line = _oracle_check(eq, sol, xs, u_vals)
-            if oracle_line is None:
                 warning_lines.append(
-                    "[W_NO_ORACLE] no closed-form oracle applies to this equation "
-                    "(needs a single derivative term with p = 0 and nu = 0)"
+                    f"[W_NOT_CONVERGED] root {k}: {limit} before the tail fell below eps_tail"
                 )
-            else:
-                report.append(f"  root [{k}]: {oracle_line}")
+            report.append(
+                f"  root [{k}]: gamma = {sol.gamma!r}  N = {trunc.terms_used}  "
+                f"tail_estimate = {trunc.tail_estimate!r}  converged = {trunc.converged}  "
+                f"max |residual| on grid = {max(map(abs, res_vals))!r}"
+            )
+            # written now, so that no root's texts wait for the last root
+            _write_files(output_dir, {
+                f"coefficients_{k}.csv": "n,c_n,exponent\n" + "".join(
+                    "%d,%.17g,%.17g\n" % (n, cn, sol.exponent(n))
+                    for n, cn in enumerate(sol.coefficients)
+                ),
+                f"solution_{k}.csv": "x,u\n" + "".join(
+                    "%s,%.17g\n" % row for row in zip(x_cells, u_vals)
+                ),
+                f"residual_{k}.csv": "x,residual\n" + "".join(
+                    "%s,%.17g\n" % row for row in zip(x_cells, res_vals)
+                ),
+            })
+            if oracle:
+                oracle_line = _oracle_check(eq, sol, xs, u_vals)
+                if oracle_line is None:
+                    warning_lines.append(
+                        "[W_NO_ORACLE] no closed-form oracle applies to this equation "
+                        "(needs a single derivative term with p = 0 and nu = 0)"
+                    )
+                else:
+                    report.append(f"  root [{k}]: {oracle_line}")
+            # the next root's values need not share the peak with these
+            del sol, u_vals, res_vals
 
-    # report.txt's root list and roots.csv carry the statuses the series
-    # build left
-    report[roots_at:roots_at] = [
-        f"  [{k}] gamma = {r.gamma!r}  status = {r.status.value}"
-        + (f" (collides after {r.collision_step} steps)" if r.collision_step else "")
-        for k, r in enumerate(roots)
-    ]
-    files["roots.csv"] = "gamma,status,collision_step,G\n" + "".join(
-        "%.17g,%s,%s,%.17g\n" % (
-            r.gamma, r.status.value, "" if r.collision_step is None else r.collision_step,
-            _g_cell(eq, r.gamma),
-        )
-        for r in roots
-    )
-    report += ["", "warnings:" if warning_lines else "warnings: none"]
-    report += [f"  {line}" for line in warning_lines] + [""]
-    files["report.txt"] = "\n".join(report)
-    try:
-        output_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            (output_dir / name).write_text(text, encoding="utf-8", newline="")
+        # report.txt's root list and roots.csv carry the statuses the series
+        # build left
+        report[roots_at:roots_at] = [
+            f"  [{k}] gamma = {r.gamma!r}  status = {r.status.value}"
+            + (f" (collides after {r.collision_step} steps)" if r.collision_step else "")
+            for k, r in enumerate(roots)
+        ]
+        report += ["", "warnings:" if warning_lines else "warnings: none"]
+        report += [f"  {line}" for line in warning_lines] + [""]
+        _write_files(output_dir, {
+            "roots.csv": "gamma,status,collision_step,G\n" + "".join(
+                "%.17g,%s,%s,%.17g\n" % (
+                    r.gamma, r.status.value, "" if r.collision_step is None else r.collision_step,
+                    _g_cell(eq, r.gamma),
+                )
+                for r in roots
+            ),
+            "report.txt": "\n".join(report),
+        })
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -524,6 +537,8 @@ def solve_command(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse  # only the command line needs it, not solve_command
+
     parser = argparse.ArgumentParser(
         prog="quasibessel",
         description="Series solver for fractional quasi-Bessel equations.",

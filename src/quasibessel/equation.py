@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
-from .gammafn import TAU_POLE
+from .gammafn import TAU_POLE, signed_log_gamma
 from .rational import RationalLike, as_rational
 
 __all__ = [
@@ -189,9 +189,15 @@ MAX_ORDER = 1000.0
 
 
 class ValidationIssue(NamedTuple):
+    """A finding of ``validate``.  Its code says its severity: every ``E_``
+    code is fatal, every ``W_`` code a warning."""
+
     code: str
-    severity: str
     message: str
+
+    @property
+    def severity(self) -> str:
+        return FATAL if self.code.startswith("E_") else WARNING
 
 
 def validate(eq: QuasiBesselEquation) -> Tuple[ValidationIssue, ...]:
@@ -210,7 +216,6 @@ def validate(eq: QuasiBesselEquation) -> Tuple[ValidationIssue, ...]:
         issues.append(
             ValidationIssue(
                 code="E_ORDER_TOO_LARGE",
-                severity=FATAL,
                 message=(
                     f"the highest derivative order is {eq.alpha1!r}, above the limit "
                     f"{MAX_ORDER:g}: the root list grows with the order"
@@ -221,7 +226,6 @@ def validate(eq: QuasiBesselEquation) -> Tuple[ValidationIssue, ...]:
         issues.append(
             ValidationIssue(
                 code="E_NO_DERIVATIVE",
-                severity=FATAL,
                 message=(
                     f"the highest derivative order is {eq.alpha1}: without a derivative "
                     "term the equation is algebraic and has no series solution"
@@ -234,7 +238,6 @@ def validate(eq: QuasiBesselEquation) -> Tuple[ValidationIssue, ...]:
         issues.append(
             ValidationIssue(
                 code="E_SHIFTED_LEADING_TERM",
-                severity=FATAL,
                 message=(
                     f"the highest-order derivative (alpha={leading[0].alpha}) carries a "
                     f"positive shift p={leading[0].p}; the recursion numerator then grows "
@@ -247,7 +250,6 @@ def validate(eq: QuasiBesselEquation) -> Tuple[ValidationIssue, ...]:
         issues.append(
             ValidationIssue(
                 code="E_ZERO_LEADING_COEFFICIENT",
-                severity=FATAL,
                 message=(
                     f"the highest-order term (alpha={eq.alpha1}) has d = 0, so the "
                     "equation lacks its highest derivative; drop the term so that the "
@@ -260,7 +262,6 @@ def validate(eq: QuasiBesselEquation) -> Tuple[ValidationIssue, ...]:
             issues.append(
                 ValidationIssue(
                     code="W_NONPOSITIVE_BESSEL_COEFFICIENT",
-                    severity=WARNING,
                     message=(
                         f"pure Bessel term {i} has d={eq.terms[i].d} <= 0; real roots of "
                         "the characteristic equation are no longer guaranteed"
@@ -271,7 +272,6 @@ def validate(eq: QuasiBesselEquation) -> Tuple[ValidationIssue, ...]:
         issues.append(
             ValidationIssue(
                 code="E_ZERO_BETA",
-                severity=FATAL,
                 message=(
                     "beta = 0: an equation without an x^beta term (beta > 0) is not "
                     "supported"
@@ -306,7 +306,7 @@ def nu_min_threshold(eq: QuasiBesselEquation) -> float:
     try:
         for i in eq.pure_indices:
             arg = n_max - eq.terms[i].alpha
-            if arg < TAU_POLE and abs(arg - round(arg)) < TAU_POLE:
+            if signed_log_gamma(arg)[1] == 0:
                 raise ValueError(
                     f"Gamma pole at n_max - alpha = {arg} (term {i}, alpha={eq.terms[i].alpha})"
                 )

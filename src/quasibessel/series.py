@@ -238,6 +238,8 @@ def build_coefficients(
     """
     if n_terms is not None and n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     if x_max <= 0:
         raise ValueError(f"x_max must be positive, got {x_max}")
     s = plan.step_value

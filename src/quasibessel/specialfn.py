@@ -1,10 +1,12 @@
-"""Closed-form oracles: Mittag-Leffler and Kilbas-Saigo functions.
+"""Closed-form oracle: the Kilbas-Saigo function E_{alpha,m,l}.
 
-These are intentionally independent of the series machinery -- plain
-truncated sums with Gamma factors -- so they can validate it.  Single-term
-equations with nu = 0 have solutions c0 x^gamma E_{alpha,m,l}(lam x^s);
+A plain truncated sum with Gamma factors, intentionally independent of the
+series machinery so it can validate it.  Single-term equations with nu = 0
+have solutions c0 x^gamma E_{alpha,m,l}(lam x^s);
 ``kilbas_saigo_for_single_term`` maps a computed root and step onto those
-parameters for cross-checks.
+parameters for cross-checks.  The Mittag-Leffler function is the case m = 1,
+l = 0, whose coefficient product telescopes to 1/Gamma(alpha k + 1):
+E_alpha(z) is ``kilbas_saigo(KilbasSaigoParams(alpha, 1.0, 0.0), [z])[0]``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 __all__ = [
     "KilbasSaigoParams",
-    "mittag_leffler",
     "kilbas_saigo",
     "kilbas_saigo_coefficients",
     "kilbas_saigo_for_single_term",
@@ -42,27 +43,13 @@ class KilbasSaigoParams:
         self.l = l
 
 
-def mittag_leffler(alpha: float, z: float, n_terms: int = 60) -> float:
-    """Truncated E_alpha(z) = sum_{n=0}^{N} z^n / Gamma(1+alpha*n)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    total = 1.0  # n = 0 term
-    for n in range(1, n_terms + 1):
-        if z == 0.0:
-            break
-        log_term = n * math.log(abs(z)) - math.lgamma(1.0 + alpha * n)
-        term = math.exp(log_term)
-        if z < 0 and n % 2 == 1:
-            term = -term
-        total += term
-    return total
-
-
-def _kilbas_saigo_terms(
+def kilbas_saigo_coefficients(
     params: KilbasSaigoParams, n_terms: int
 ) -> List[Tuple[float, int, float]]:
-    """(c_k, sign, log|c_k|) for k = 0..N; c_k underflows to 0.0 below about
-    e^-745, and the sign is 0 for a coefficient a pole has zeroed.
+    """Coefficients c_0..c_N of the Kilbas-Saigo series, each as the triple
+    (c_k, sign, log|c_k|).  c_k underflows to 0.0 below about e^-745 while
+    its logarithm stays finite; the sign is 0 for a coefficient a pole has
+    zeroed.
 
     A Gamma pole in a numerator factor is an error; a pole in a denominator
     factor terminates the series (all later coefficients are zero).
@@ -91,17 +78,6 @@ def _kilbas_saigo_terms(
     return terms
 
 
-# no solve stage calls this; it stays because solvebench/tracing.py patches it
-def kilbas_saigo_coefficients(params: KilbasSaigoParams, n_terms: int) -> List[float]:
-    """Coefficients c_0..c_N of the Kilbas-Saigo series; one below about
-    e^-745 underflows to 0.0.
-
-    A Gamma pole in a numerator factor is an error; a pole in a denominator
-    factor terminates the series (all later coefficients are zero).
-    """
-    return [c for c, _, _ in _kilbas_saigo_terms(params, n_terms)]
-
-
 def kilbas_saigo(
     params: KilbasSaigoParams, zs: Sequence[float], n_terms: int = 60
 ) -> List[float]:
@@ -113,7 +89,7 @@ def kilbas_saigo(
     sign_k exp(log|c_k| + k log|z|) from the coefficient's logarithm; a term
     whose logarithm exceeds the float range is infinite.
     """
-    terms = _kilbas_saigo_terms(params, n_terms)
+    terms = kilbas_saigo_coefficients(params, n_terms)
     coeffs = [c for c, _, _ in terms]
     out = []
     for z in zs:

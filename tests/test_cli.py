@@ -9,8 +9,12 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quasibessel import __version__, characteristic, cli, series, specialfn
+from quasibessel import (
+    QuasiBesselEquation, Term, __version__, characteristic, cli, series, specialfn,
+)
 from quasibessel.cli import (
     EXIT_NO_ROOTS,
     EXIT_NUMERICAL,
@@ -19,6 +23,7 @@ from quasibessel.cli import (
     main,
     solve_command,
 )
+from quasibessel.gammafn import gamma_ratio, signed_log_gamma
 
 SOLVEBENCH = Path(__file__).resolve().parents[1] / "solvebench"
 
@@ -696,6 +701,86 @@ def test_an_infinite_g_cell_takes_the_sign_of_d_and_both_gammas():
             assert cli._g_cell(eq, gamma) == math.copysign(math.inf, exact), (d, gamma)
 
 
+# cli._g_cell as it was when it asked characteristic_value first and summed
+# G itself only after an OverflowError, verbatim apart from the name, the
+# docstring and the module prefixes
+def _g_cell_with_fallback(eq, gamma):
+    try:
+        return characteristic.characteristic_value(eq, gamma)
+    except OverflowError:
+        pass
+    total = -eq.nu_squared
+    for i in eq.pure_indices:
+        t = eq.terms[i]
+        try:
+            q = gamma_ratio(gamma, 0.0, t.alpha)
+        except OverflowError:
+            x = 1.0 + gamma
+            q = signed_log_gamma(x)[1] * signed_log_gamma(x - t.alpha)[1] * math.inf
+        total += t.d * q
+    return total
+
+
+# orders of 171.5 and above overflow Gamma(1 + gamma)/Gamma(1 + gamma - alpha)
+# at the Caputo integer exponents and near them
+_G_ORDERS = st.one_of(
+    st.floats(1e-3, 3.0), st.sampled_from((1.0, 2.0, 171.5, 200.25, 400.5, 999.5))
+)
+
+
+@st.composite
+def _g_cell_case(draw):
+    alphas = draw(st.lists(_G_ORDERS, min_size=1, max_size=3))
+    terms = tuple(
+        Term(draw(st.floats(-3.0, 3.0)), a, draw(st.sampled_from(("0", "0", "0.5"))))
+        for a in alphas
+    )
+    eq = QuasiBesselEquation(terms=terms, beta="1", nu_squared=draw(st.floats(0.0, 50.0)))
+    gamma = draw(st.one_of(
+        st.floats(-1.0, 1200.0, exclude_min=True),
+        st.integers(0, 1000).map(float),
+        st.builds(lambda j, f: j + f, st.integers(150, 1000), st.sampled_from((0.25, 0.5, 0.75))),
+    ))
+    return eq, gamma
+
+
+def _cell_outcome(fn, eq, gamma):
+    try:
+        return fn(eq, gamma).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# in the examples G overflows: one ratio gives -inf, and two give +inf
+@settings(max_examples=400, derandomize=True, database=None)
+@given(case=_g_cell_case())
+@example(case=(QuasiBesselEquation(terms=(Term(-2.0, 400.5),), beta="1"), 300.25))
+@example(case=(QuasiBesselEquation(terms=(Term(1.0, 171.5), Term(1.0, 200.25)), beta="1"), 180.0))
+def test_g_cell_is_bit_identical_to_the_fallback_form(case):
+    eq, gamma = case
+    assert _cell_outcome(cli._g_cell, eq, gamma) == _cell_outcome(_g_cell_with_fallback, eq, gamma)
+
+
+def test_each_roots_csvs_are_written_before_the_next_root_is_built(tmp_path, monkeypatch):
+    # a spec with several roots holds one root's CSV texts at a time
+    out = tmp_path / "out"
+    on_disk = []
+    build = cli.build_coefficients
+
+    def recording_build(*args, **kwargs):
+        on_disk.append(sorted(p.name for p in out.iterdir()) if out.exists() else [])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_coefficients", recording_build)
+    assert solve_command(write_spec(tmp_path, CAPUTO_TWO_TERM_SPEC), out) == EXIT_OK
+    # roots 1 and 3 (gamma = 0 and 1) are the valid ones
+    assert on_disk == [[], ["coefficients_1.csv", "residual_1.csv", "solution_1.csv"]]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "coefficients_1.csv", "coefficients_3.csv", "report.txt",
+        "residual_1.csv", "residual_3.csv", "roots.csv", "solution_1.csv", "solution_3.csv",
+    ]
+
+
 @pytest.mark.parametrize("lam", [600, 700])
 def test_overflowing_series_fails_its_root(tmp_path, capsys, lam):
     # the terms' products overflow to +-inf at x = 1.2 although no pow does
@@ -769,7 +854,10 @@ def test_tracer_times_every_stage(tmp_path, monkeypatch):
                 setattr(module, name, value)
     for _, metric in tracing.TIMED_STAGES:
         assert metrics.get(metric, 0) > 0, metric
-    for metric in ("characteristic.roots", "series.terms", "series.term_points"):
+    # the oracle builds its coefficients through the traced name
+    for metric in (
+        "characteristic.roots", "series.terms", "series.term_points", "specialfn.ks_coeff_calls",
+    ):
         assert metrics.get(metric, 0) > 0, metric
     assert cli.solve_command is solve_command
 

@@ -1,5 +1,7 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -8,6 +10,8 @@ from _examples import CAPUTO, RL, example1, example2
 from quasibessel import (
     QuasiBesselEquation,
     Term,
+    ValidationIssue,
+    equation,
     from_constant_coefficients,
     from_power_factors,
     nu_min_threshold,
@@ -300,3 +304,30 @@ def test_uniqueness_bound_overflow_is_inf():
     )
     expected = 1e10 * (1.0 + 2.0 / (3.0 * math.sqrt(math.pi)))
     assert uniqueness_bound(eq, 1e10) == pytest.approx(expected, rel=1e-12)
+
+
+def test_severity_is_fatal_exactly_for_e_codes():
+    # an issue is its code and message; the code's prefix gives the severity
+    eqs = [
+        QuasiBesselEquation(terms=(Term(1.0, 1000.5, "0"),), beta="1", kind=CAPUTO),
+        QuasiBesselEquation(terms=(Term(1.0, 0.0, "0"),), beta="2", kind=RL),
+        QuasiBesselEquation(terms=(Term(1.0, 1.5, "0.5"), Term(1.0, 0.5, "0")), beta="1"),
+        QuasiBesselEquation(terms=(Term(0.0, 1.5, "0"), Term(-1.0, 0.5, "0")), beta="1"),
+        from_power_factors([(1.0, "1.5", "1.5"), (2.0, "0.5", "0.5")], delta="0", kind=RL),
+    ]
+    severities = {}
+    for eq in eqs:
+        for issue in validate(eq):
+            assert issue == ValidationIssue(issue.code, issue.message)
+            severities.setdefault(issue.code, set()).add(issue.severity)
+    assert ValidationIssue._fields == ("code", "message")
+    # every code that validate can give, each with its one severity
+    assert set(severities) == set(re.findall(r'code="(\w+)"', Path(equation.__file__).read_text()))
+    assert severities == {
+        "E_ORDER_TOO_LARGE": {FATAL},
+        "E_NO_DERIVATIVE": {FATAL},
+        "E_SHIFTED_LEADING_TERM": {FATAL},
+        "E_ZERO_LEADING_COEFFICIENT": {FATAL},
+        "W_NONPOSITIVE_BESSEL_COEFFICIENT": {WARNING},
+        "E_ZERO_BETA": {FATAL},
+    }

@@ -131,6 +131,15 @@ def test_compute_step_rejects_zero_beta():
 # -- coefficient recursion ----------------------------------------------------
 
 
+def test_build_coefficients_rejects_a_cap_below_one():
+    # a cap below one, like a term count below one, leaves no recursion step
+    eq = example2()
+    with pytest.raises(ValueError, match=r"^max_terms must be >= 1, got 0$"):
+        build_coefficients(eq, 0.0, compute_step(eq), max_terms=0)
+    with pytest.raises(ValueError, match=r"^n_terms must be >= 1, got 0$"):
+        build_coefficients(eq, 0.0, compute_step(eq), n_terms=0)
+
+
 def test_example2_factorial_coefficients():
     eq = example2()
     plan = compute_step(eq)
