@@ -350,7 +350,10 @@ def screen_collisions(
             continue
         hit: Optional[int] = None
         for other in ordered[idx + 1 :]:
-            n = round((other.gamma - root.gamma) / step)
+            # a step of 0, or a step count past the float range, is out of
+            # reach: each root then fails on its own denominator test
+            steps = (other.gamma - root.gamma) / step if step else math.inf
+            n = round(steps) if steps < math.inf else 0
             if n >= 1 and abs(other.gamma - (root.gamma + step * n)) < TAU_COLLISION:
                 hit = n if hit is None else min(hit, n)
         if hit is not None:

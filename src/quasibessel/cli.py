@@ -16,7 +16,9 @@ the shifting indices survive parsing exactly.  Schema:
       "options": {"c0": "...", "n_terms_max": int, "eps_tail": "..."}
     }
 
-Each form reads these fields and no others:
+A field is accepted exactly when its form's reader reads it: ``read_spec``
+copies each level of the spec and pops each field as it reads it.  Each
+form reads these fields:
 
     quasi_bessel           kind, form, terms, r, domain, options, beta, nu;
                            each term d, alpha, p
@@ -26,10 +28,10 @@ Each form reads these fields and no others:
                            each term d, alpha, beta_i
 
 plus x_min, x_max and n_points in ``domain`` and c0, n_terms_max and
-eps_tail in ``options``.  Each term must be a JSON object.  Any other field,
-at any level, exits 2 with one line that names the field and its level, so
-a misspelt or misplaced field is never silently ignored; this check runs
-after every other check of the spec.
+eps_tail in ``options``.  Each term must be a JSON object.  A field left
+unread at any level exits 2 with one line that names the field and its
+level, so a misspelt or misplaced field is never silently ignored; this
+check runs after every other check of the spec.
 
 The spec's ``options`` is the one source of c0, the truncation cap and the
 tail tolerance (defaults "1", series.MAX_TERMS and series.EPS_TAIL); no
@@ -121,10 +123,11 @@ class SpecFileError(ValueError):
     """The equation spec file is missing, malformed, or inconsistent."""
 
 
-def _require(spec: dict, key: str) -> object:
-    if key not in spec:
+def _require(level: dict, key: str) -> object:
+    """Pop a field that must be present."""
+    if key not in level:
         raise SpecFileError(f"spec is missing required field {key!r}")
-    return spec[key]
+    return level.pop(key)
 
 
 def _as_float(value: object, what: str) -> float:
@@ -142,9 +145,10 @@ def _as_int(value: object, what: str) -> int:
 
 
 def _as_object(value: object, what: str) -> dict:
+    """A copy of a JSON object, for its reader to pop."""
     if not isinstance(value, dict):
         raise SpecFileError(f"{what} must be a JSON object, got {value!r}")
-    return value
+    return dict(value)
 
 
 def load_spec(path: Path) -> dict:
@@ -160,33 +164,37 @@ def load_spec(path: Path) -> dict:
     return spec
 
 
-def build_equation(spec: dict) -> QuasiBesselEquation:
-    form = str(_require(spec, "form"))
-    raw_terms = _require(spec, "terms")
+def read_spec(spec: dict) -> Tuple[QuasiBesselEquation, float, List[float], float, int, float]:
+    """The equation, x_max, the grid, c0, the truncation cap and the tail
+    tolerance that a spec gives.  Each level of the spec is copied and each
+    field popped as it is read, so a field still left once every other check
+    has passed is one that the form does not read, and it is rejected."""
+    top = dict(spec)
+    form = str(_require(top, "form"))
+    raw_terms = _require(top, "terms")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise SpecFileError("'terms' must be a non-empty list")
-    raw_terms = [_as_object(t, "each term") for t in raw_terms]
-    r = _as_float(spec.get("r", "1"), "r")
-    nu = _as_float(spec.get("nu", "0"), "nu")
+    terms = [_as_object(t, "each term") for t in raw_terms]
+    r = _as_float(top.pop("r", "1"), "r")
+    nu = _as_float(top.pop("nu", "0"), "nu")
     try:
-        kind = DerivativeKind.from_string(str(_require(spec, "kind")))
+        kind = DerivativeKind.from_string(str(_require(top, "kind")))
         if form == "quasi_bessel":
-            terms = tuple(
-                Term(
-                    d=_as_float(_require(t, "d"), "term d"),
-                    alpha=_as_float(_require(t, "alpha"), "term alpha"),
-                    p=str(t.get("p", "0")),
-                )
-                for t in raw_terms
-            )
-            return QuasiBesselEquation(
-                terms=terms,
-                beta=str(_require(spec, "beta")),
+            eq = QuasiBesselEquation(
+                terms=tuple(
+                    Term(
+                        d=_as_float(_require(t, "d"), "term d"),
+                        alpha=_as_float(_require(t, "alpha"), "term alpha"),
+                        p=str(t.pop("p", "0")),
+                    )
+                    for t in terms
+                ),
+                beta=str(_require(top, "beta")),
                 nu_squared=nu * nu,
                 r=r,
                 kind=kind,
             )
-        if form in ("constant_coefficients", "power_factors"):
+        elif form in ("constant_coefficients", "power_factors"):
             if nu != 0.0:
                 raise SpecFileError(f"{form} form requires nu = 0")
             # constant coefficients are power factors with every beta_i and
@@ -195,25 +203,24 @@ def build_equation(spec: dict) -> QuasiBesselEquation:
             triples = [
                 (
                     _as_float(_require(t, "d"), "term d"),
-                    "0" if constant else str(t.get("beta_i", "0")),
+                    "0" if constant else str(t.pop("beta_i", "0")),
                     str(_require(t, "alpha")),
                 )
-                for t in raw_terms
+                for t in terms
             ]
-            delta = "0" if constant else str(_require(spec, "delta"))
-            return from_power_factors(triples, delta=delta, r=r, kind=kind)
+            delta = "0" if constant else str(_require(top, "delta"))
+            eq = from_power_factors(triples, delta=delta, r=r, kind=kind)
+        else:
+            raise SpecFileError(
+                f"unknown form {form!r}; expected quasi_bessel, constant_coefficients, "
+                "or power_factors"
+            )
     except (ValueError, TypeError) as exc:
         if isinstance(exc, SpecFileError):
             raise
         raise SpecFileError(f"bad equation spec: {exc}") from None
-    raise SpecFileError(
-        f"unknown form {form!r}; expected quasi_bessel, constant_coefficients, "
-        "or power_factors"
-    )
 
-
-def _domain_grid(spec: dict) -> Tuple[float, float, List[float]]:
-    domain = _as_object(_require(spec, "domain"), "'domain'")
+    domain = _as_object(_require(top, "domain"), "'domain'")
     x_min = _as_float(_require(domain, "x_min"), "x_min")
     x_max = _as_float(_require(domain, "x_max"), "x_max")
     n_points = _as_int(_require(domain, "n_points"), "n_points")
@@ -225,55 +232,30 @@ def _domain_grid(spec: dict) -> Tuple[float, float, List[float]]:
         raise SpecFileError(f"n_points must be >= 1, got {n_points}")
     if n_points > MAX_POINTS:
         raise SpecFileError(f"n_points must be at most {MAX_POINTS}, got {n_points}")
-    if n_points == 1:
-        return x_min, x_max, [x_min]
-    h = (x_max - x_min) / (n_points - 1)
-    return x_min, x_max, [x_min + i * h for i in range(n_points)]
+    h = (x_max - x_min) / max(n_points - 1, 1)  # finite: a single point is x_min
+    xs = [x_min + i * h for i in range(n_points)]
 
-
-def _options(spec: dict) -> Tuple[float, int, float]:
-    """c0, the truncation cap and the tail tolerance, from the spec's
-    ``options``: the one source of each, so the spec a report names fixes
-    them."""
-    options = _as_object(spec.get("options", {}), "'options'")
-    c0 = _as_float(options.get("c0", "1"), "c0")
+    options = _as_object(top.pop("options", {}), "'options'")
+    c0 = _as_float(options.pop("c0", "1"), "c0")
     # c0 = 0 gives u = 0, the trivial solution, not the series of a root
     if not math.isfinite(c0) or c0 == 0.0:
         raise SpecFileError(f"c0 must be finite and nonzero, got {c0!r}")
-    max_terms = _as_int(options.get("n_terms_max", MAX_TERMS), "n_terms_max")
+    max_terms = _as_int(options.pop("n_terms_max", MAX_TERMS), "n_terms_max")
     if max_terms < 1:
         raise SpecFileError(f"n_terms_max must be >= 1, got {max_terms}")
-    eps_tail = _as_float(options.get("eps_tail", repr(EPS_TAIL)), "eps_tail")
+    eps_tail = _as_float(options.pop("eps_tail", repr(EPS_TAIL)), "eps_tail")
     if not 0 < eps_tail < math.inf:
         raise SpecFileError(f"eps_tail must be finite and positive, got {eps_tail!r}")
-    return c0, max_terms, eps_tail
 
-
-# the fields each form reads, at the top level and in each term
-_TOP_FIELDS = {"kind", "form", "terms", "r", "domain", "options"}
-_FORM_FIELDS = {
-    "quasi_bessel": (_TOP_FIELDS | {"beta", "nu"}, {"d", "alpha", "p"}),
-    "constant_coefficients": (_TOP_FIELDS | {"nu"}, {"d", "alpha"}),
-    "power_factors": (_TOP_FIELDS | {"delta", "nu"}, {"d", "alpha", "beta_i"}),
-}
-
-
-def _check_fields(spec: dict) -> None:
-    """Reject a field that the spec's form does not read, at any level, so
-    that a misspelt or misplaced field is not silently ignored.  Runs after
-    every other check of the spec, which leaves the form known and each
-    level an object."""
-    top, term = _FORM_FIELDS[spec["form"]]
-    levels = [
-        (spec, top, f"the top level of a {spec['form']} spec"),
-        *((t, term, f"a term of a {spec['form']} spec") for t in spec["terms"]),
-        (spec["domain"], {"x_min", "x_max", "n_points"}, "'domain'"),
-        (spec.get("options", {}), {"c0", "n_terms_max", "eps_tail"}, "'options'"),
-    ]
-    for fields, allowed, level in levels:
-        for name in fields:
-            if name not in allowed:
-                raise SpecFileError(f"unknown field {name!r} in {level}")
+    for fields, level in [
+        (top, f"the top level of a {form} spec"),
+        *((t, f"a term of a {form} spec") for t in terms),
+        (domain, "'domain'"),
+        (options, "'options'"),
+    ]:
+        if fields:
+            raise SpecFileError(f"unknown field {next(iter(fields))!r} in {level}")
+    return eq, x_max, xs, c0, max_terms, eps_tail
 
 
 def _g_cell(eq: QuasiBesselEquation, gamma: float) -> float:
@@ -339,11 +321,7 @@ def solve_command(
     written before it.
     """
     try:
-        spec = load_spec(spec_path)
-        eq = build_equation(spec)
-        x_min, x_max, xs = _domain_grid(spec)
-        c0, n_terms_max, tail_eps = _options(spec)
-        _check_fields(spec)
+        eq, x_max, xs, c0, n_terms_max, tail_eps = read_spec(load_spec(spec_path))
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

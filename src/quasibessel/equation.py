@@ -289,10 +289,11 @@ def nu_min_threshold(eq: QuasiBesselEquation) -> float:
     converge: Gamma(n_m0) * sum over pure Bessel terms of d_i/Gamma(n_max - alpha_i).
 
     Applicable only to Caputo equations with positive pure Bessel
-    coefficients and at least one fractional pure Bessel term.  A Gamma
-    beyond the float range, which needs n_m0 >= 172, gives +inf: every
-    summand is positive, and inf can withhold the guarantee but never grant
-    it.
+    coefficients and at least one fractional pure Bessel term.  Where a
+    Gamma leaves the float range, which needs n_m0 >= 172, the sum is taken
+    in log space, of exp(log d_i + lgamma(n_m0) - lgamma(n_max - alpha_i));
+    a threshold beyond the float range is +inf: every summand is positive,
+    and inf can withhold the guarantee but never grant it.
     """
     if eq.kind is not DerivativeKind.CAPUTO:
         raise ValueError("nu_min_threshold applies to Caputo equations only")
@@ -312,6 +313,15 @@ def nu_min_threshold(eq: QuasiBesselEquation) -> float:
                 )
             total += eq.terms[i].d / math.gamma(arg)
         return math.gamma(eq.n_m0) * total
+    except OverflowError:
+        pass
+    # a Gamma left the float range: sum in log space
+    log_g = math.lgamma(eq.n_m0)
+    try:
+        return math.fsum(
+            math.exp(math.log(eq.terms[i].d) + log_g - math.lgamma(n_max - eq.terms[i].alpha))
+            for i in eq.pure_indices
+        )
     except OverflowError:
         return math.inf
 

@@ -462,7 +462,9 @@ class _PowerRule:
     D^n x^q = q(q-1)...(q-n+1) x^(q-n) for q > -1, zero at q = 0..n-1.  A q
     the rule leaves undefined raises DerivativeUndefinedError.
 
-    Calling the rule computes the value at one index.  ``values`` is the
+    Calling the rule computes the value at one index and stores it into
+    ``values`` when the index is inside the table, so no index asks the rule
+    twice; an error is raised on each read.  ``values`` is the
     table Q(0), Q(1), ..., which ``grow`` fills _BLOCK indices at a time.
     For a fractional order, a block whose first index has q above the floor
     and 1 + gamma + n*s - alpha >= TAU_POLE is regular throughout: with
@@ -484,6 +486,12 @@ class _PowerRule:
         self.values: List[float] = []
 
     def __call__(self, n: int) -> float:
+        value = self._rule(n)
+        if n < len(self.values):
+            self.values[n] = value
+        return value
+
+    def _rule(self, n: int) -> float:
         r = n * self.s
         q = self.gamma + r
         if q > self.floor:

@@ -1,9 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -363,6 +366,93 @@ def test_field_that_the_form_does_not_read_exits_2(tmp_path, capsys, spec, error
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "base, top_fields, term_fields",
+    [
+        (EXAMPLE1_SPEC, ["delta"], ["beta_i"]),
+        (EXP_SPEC, ["beta", "delta"], ["p", "beta_i"]),
+        (_example4_spec(2.0), ["beta"], ["p"]),
+    ],
+    ids=["quasi_bessel", "constant_coefficients", "power_factors"],
+)
+def test_a_field_that_only_other_forms_read_exits_2(
+    tmp_path, capsys, base, top_fields, term_fields
+):
+    form = base["form"]
+    cases = [
+        (dict(base, **{name: "1"}), f"unknown field {name!r} in the top level of a {form} spec")
+        for name in top_fields
+    ] + [
+        (dict(base, terms=[dict(base["terms"][0], **{name: "0"})]),
+         f"unknown field {name!r} in a term of a {form} spec")
+        for name in term_fields
+    ]
+    for spec, error in cases:
+        assert solve_command(write_spec(tmp_path, spec), tmp_path / "out") == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# every field name of every level, a misspelt one, and values of each JSON
+# type as JSON texts.  The decimals are coarse: a decimal order or index with
+# many digits makes a lattice finer than the term cap, which is still slow
+# to fail.
+_FUZZ_NAMES = (
+    "kind", "form", "terms", "beta", "delta", "nu", "r", "domain", "options", "d", "alpha",
+    "p", "beta_i", "x_min", "x_max", "n_points", "c0", "n_terms_max", "eps_tail", "Nu",
+)
+_FUZZ_VALUES = (
+    "null", "true", "[]", "{}", "3", '"nan"', '"inf"', '"1e999"', '"-1"', '"0"', '"0.5"',
+    '"2"', '"2.5"', '"abc"', '"caputo"', '"riemann_liouville"', '"quasi_bessel"',
+    '"constant_coefficients"', '"power_factors"',
+)
+
+
+@st.composite
+def _mutated_spec(draw):
+    """A spec of each form with one or two fields replaced, deleted or added,
+    each at a random level.  Most mutations pick a field that the level has,
+    so that some specs still solve."""
+    base = draw(st.sampled_from((EXAMPLE1_SPEC, EXP_SPEC, NOSOL_SPEC, _example4_spec(2.0))))
+    spec = json.loads(json.dumps(dict(base, options={"n_terms_max": 300})))
+    for _ in range(draw(st.integers(1, 2))):
+        terms = spec.get("terms") if isinstance(spec.get("terms"), list) else []
+        levels = [spec, spec.get("domain"), spec.get("options"), *terms]
+        level = draw(st.sampled_from([v for v in levels if isinstance(v, dict)]))
+        names = sorted(level) if level and draw(st.integers(0, 3)) else _FUZZ_NAMES
+        name = draw(st.sampled_from(names))
+        if name in level and not draw(st.integers(0, 3)):
+            del level[name]
+        else:
+            level[name] = json.loads(draw(st.sampled_from(_FUZZ_VALUES)))
+    return spec
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(spec=_mutated_spec())
+def test_a_mutated_spec_exits_with_its_documented_code(spec):
+    text = json.dumps(spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "spec.json", Path(tmp) / "out"
+        path.write_text(text)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = solve_command(path, out)
+        lines = err.getvalue().splitlines(keepends=True)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NO_ROOTS, EXIT_NUMERICAL)
+        assert all(line.startswith("error: ") and line.endswith("\n") for line in lines)
+        # one line on a nonzero exit, or one per fatal issue on exit 2
+        fatal = [line for line in lines if line.startswith("error: [E_")]
+        if code == EXIT_VALIDATION and fatal:
+            assert fatal == lines
+        else:
+            assert len(lines) == (code != EXIT_OK), lines
+        if code == EXIT_VALIDATION:
+            assert not out.exists()
+    # the reader reads copies: the spec it is given stays as it was
+    with contextlib.suppress(cli.SpecFileError):
+        cli.read_spec(spec)
+    assert json.dumps(spec) == text
+
+
 def test_single_grid_point_is_x_min(tmp_path):
     out = tmp_path / "out"
     spec = dict(EXAMPLE1_SPEC, domain=dict(EXAMPLE1_SPEC["domain"], n_points=1))
@@ -568,6 +658,21 @@ def _points_spec(n_points: int) -> dict:
     return dict(EXP_SPEC, domain=dict(EXP_SPEC["domain"], n_points=n_points))
 
 
+def _tiny_r_spec(beta: str, r: str) -> dict:
+    # RL D^1.5 u + (x^(beta r) - 0.49) u = 0: the step s*r = beta*r is so
+    # small that the collision screening cannot count the steps between the
+    # roots
+    return {
+        "kind": "riemann_liouville",
+        "form": "quasi_bessel",
+        "terms": [{"d": "1", "alpha": "1.5", "p": "0"}],
+        "beta": beta,
+        "nu": "0.7",
+        "r": r,
+        "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
+    }
+
+
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
     # python -m quasibessel.cli in its own process, on this tree's package
     src = Path(cli.__file__).resolve().parents[1]
@@ -600,10 +705,13 @@ def test_cli_process_prints_version_and_solves(tmp_path):
         (dict(EXP_SPEC, options={"n_terms_max": 1}), "out", EXIT_NUMERICAL, "no series reached"),
         (INFINITE_STEP_SPEC, "out", EXIT_NUMERICAL, "every valid root failed numerically"),
         (_points_spec(10**18), "out", EXIT_VALIDATION, "n_points must be at most 1000000"),
+        (_tiny_r_spec("1", "1e-310"), "out", EXIT_NUMERICAL, "every valid root failed"),
+        (_tiny_r_spec("0.5", "5e-324"), "out", EXIT_NUMERICAL, "every valid root failed"),
     ],
     ids=[
         "missing-spec", "not-json", "output-is-a-file", "zero-c0", "unknown-field",
         "no-sign-change", "one-term-cap", "infinite-exponent", "too-many-points",
+        "step-count-past-float-range", "zero-step",
     ],
 )
 def test_cli_process_failure_prints_one_error_line(tmp_path, spec, target, code, error):
@@ -628,7 +736,7 @@ def test_cli_process_failure_prints_one_error_line(tmp_path, spec, target, code,
 def test_an_absurd_order_exits_2_at_once(tmp_path, capsys, spec):
     # validation stops it before the root list, which grows with the order:
     # closed-form roots alpha - k, and Caputo integers below ceil(alpha)
-    eq = cli.build_equation(spec)
+    eq = cli.read_spec(spec)[0]
     assert [i.code for i in cli.validate(eq) if i.severity == "fatal"] == ["E_ORDER_TOO_LARGE"]
     out = tmp_path / "out"
     start = time.perf_counter()
@@ -651,7 +759,7 @@ def test_too_many_grid_points_exit_2_at_once(tmp_path, capsys):
         f"error: n_points must be at most {cli.MAX_POINTS}, got {10**18}\n"
     )
     assert not out.exists()
-    assert len(cli._domain_grid(_points_spec(cli.MAX_POINTS))[2]) == cli.MAX_POINTS
+    assert len(cli.read_spec(_points_spec(cli.MAX_POINTS))[2]) == cli.MAX_POINTS
 
 
 def test_an_exponent_beyond_the_float_range_fails_its_root(tmp_path, capsys):
@@ -683,7 +791,7 @@ def test_an_order_past_gammas_range_fails_numerically(tmp_path, capsys, alpha):
         exact = mp.gamma(1 + g) * mp.rgamma(1 + g - mp.mpf(alpha))
         assert (float(row["G"]) > 0) == (exact > 0), row
     # every other cell is characteristic_value's
-    eq = cli.build_equation(_order_spec(alpha))
+    eq = cli.read_spec(_order_spec(alpha))[0]
     for row in rows:
         if row not in infinite:
             assert float(row["G"]) == characteristic.characteristic_value(eq, float(row["gamma"]))
@@ -693,7 +801,8 @@ def test_an_infinite_g_cell_takes_the_sign_of_d_and_both_gammas():
     # Caputo D^400.5: Gamma(1 + gamma)/Gamma(1 + gamma - 400.5) overflows at
     # these gammas, with Gamma(-99.25) > 0 and Gamma(-98.75) < 0
     for d in (1.0, -2.0):
-        eq = cli.build_equation(dict(_order_spec("400.5"), terms=[{"d": repr(d), "alpha": "400.5"}]))
+        spec = dict(_order_spec("400.5"), terms=[{"d": repr(d), "alpha": "400.5"}])
+        eq = cli.read_spec(spec)[0]
         for gamma in (300.0, 300.25, 300.75):
             with pytest.raises(OverflowError):
                 characteristic.characteristic_value(eq, gamma)
@@ -1052,9 +1161,7 @@ def test_csv_floats_round_trip(tmp_path):
     # the library computes in this process, and every header is exact
     out = tmp_path / "out"
     assert solve_command(write_spec(tmp_path, EXAMPLE1_SPEC), out) == EXIT_OK
-    eq = cli.build_equation(EXAMPLE1_SPEC)
-    _, x_max, xs = cli._domain_grid(EXAMPLE1_SPEC)
-    c0, max_terms, eps_tail = cli._options(EXAMPLE1_SPEC)
+    eq, x_max, xs, c0, max_terms, eps_tail = cli.read_spec(EXAMPLE1_SPEC)
     plan = series.compute_step(eq)
     roots = characteristic.screen_collisions(characteristic.find_roots(eq), plan)
 

@@ -200,6 +200,14 @@ def test_nu_min_threshold_is_inf_past_gammas_range(terms):
     assert nu_min_threshold(below) == pytest.approx(float(mp.gamma(171) / mp.gamma(0.5)))
 
 
+def test_nu_min_threshold_sums_in_log_space_where_a_gamma_overflows():
+    # Gamma(172) overflows, but 1e-300 Gamma(172)/Gamma(0.5) is about 7.0e8
+    eq = QuasiBesselEquation(terms=(Term(1e-300, 171.5, "0"),), beta="1", kind=CAPUTO)
+    with mp.workdps(30):
+        exact = mp.mpf(1e-300) * mp.gamma(172) / mp.gamma(mp.mpf(0.5))
+    assert nu_min_threshold(eq) == pytest.approx(float(exact), rel=1e-12)
+
+
 def test_nu_min_threshold_gamma_pole_is_error():
     # integer alpha equal to n_max makes Gamma(n_max - alpha) a pole
     eq = QuasiBesselEquation(

@@ -40,7 +40,7 @@ from quasibessel import (
     screen_collisions,
     series,
 )
-from quasibessel.cli import build_equation
+from quasibessel.cli import read_spec
 from quasibessel.equation import DerivativeKind, ceil_order, is_integer_order
 from quasibessel.gammafn import gamma_ratio
 from quasibessel.series import (
@@ -457,9 +457,8 @@ def _check_caputo_series(reference, spec, gamma, bound=1e-12):
     c_ref from the 50-digit reference recursion at the same float gamma,
     which takes the Caputo derivative of x^j (j a nonnegative integer below
     ceil(alpha)) as 0."""
-    eq = build_equation(spec)
+    eq, x_max, *_ = read_spec(spec)
     plan = compute_step(eq)
-    x_max = float(spec["domain"]["x_max"])
     sol = build_coefficients(eq, gamma, plan, x_max=x_max)
     ref = reference.build_series(
         reference.parse_spec(spec), reference.ctx.mpf(gamma), len(sol.coefficients) - 1
@@ -499,7 +498,7 @@ def test_caputo_integer_order_series_match_50_digits(reference):
         "nu": "1",
         "domain": {"x_min": "0.1", "x_max": "1", "n_points": 5},
     }
-    eq = build_equation(spec)
+    eq = read_spec(spec)[0]
     (root,) = find_roots(eq)
     assert root.is_valid and 0.9 < root.gamma < 0.91
     _check_caputo_series(reference, spec, root.gamma)
@@ -532,7 +531,7 @@ def test_caputo_integer_exponent_series_match_50_digits_random(reference, spec):
     # largest term, against 7e-14 with correctly rounded ratios.  Taking the
     # Riemann-Liouville value for the Caputo derivative of x^j errs by the
     # size of the terms themselves.
-    eq = build_equation(spec)
+    eq = read_spec(spec)[0]
     integers = set(map(float, caputo_integer_exponents(eq)))
     roots = screen_collisions(find_roots(eq), compute_step(eq))
     for gamma in sorted({r.gamma for r in roots if r.is_valid} & integers):
@@ -1128,6 +1127,23 @@ def test_power_rule_tables_match_the_memoised_rule(case):
         for n, value in enumerate(table.values):
             new = value.hex() if value == value else _rule_outcome(table, n)
             assert new == _rule_outcome(rule, n), (alpha, g, n)
+
+
+def test_no_index_asks_the_rule_twice(monkeypatch):
+    # Caputo x^2 u'' + x u' + (x - 1) u = 0: integer orders leave their
+    # tables NaN, so each value is asked of the rule; the rule stores it, and
+    # the recursion and the fold each read it once per (gamma, n*s, alpha)
+    calls = []
+    monkeypatch.setattr(series, "gamma_ratio", lambda *a: calls.append(a) or gamma_ratio(*a))
+    eq = QuasiBesselEquation(
+        terms=(Term(1.0, 2.0, "0"), Term(1.0, 1.0, "0")), beta="1", nu_squared=1.0, kind=CAPUTO
+    )
+    plan = compute_step(eq)
+    for root in screen_collisions(find_roots(eq), plan):
+        if root.is_valid:
+            sol = build_coefficients(eq, root.gamma, plan, x_max=1.0)
+            residual(eq, sol, [0.1, 0.55, 1.0])
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_an_overflow_past_the_last_index_read_is_deferred():
