@@ -157,7 +157,7 @@ def load_spec(path: Path) -> dict:
             spec = json.load(fh)
     except OSError as exc:
         raise SpecFileError(f"cannot read spec file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SpecFileError(f"spec file is not valid JSON: {exc}") from None
     if not isinstance(spec, dict):
         raise SpecFileError("spec file must contain a JSON object")

@@ -42,7 +42,9 @@ rule in y = x^s on the integer lattice indices, scaled by x^gamma, with two
 pow calls per point and no float exponent.  Its docstring states the cut
 rule, by which each point sums only the terms it needs, and the overflow
 rule; evaluate (on c_n) and residual (on its folded slots F_m) state what
-each adds to their error bounds.
+each adds to their error bounds.  The points that take one degree are
+summed four to a pass over their shared head; each point's sum is the
+float sequence of a one-point Horner loop, so no error bound changes.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import sys
 import warnings
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .equation import DerivativeKind, QuasiBesselEquation, ceil_order, is_integer_order
 from .gammafn import TAU_POLE, gamma_ratio
@@ -312,13 +314,32 @@ def build_coefficients(
     )
 
 
-def _horner(coeffs_top_first: Iterable[float], y: float) -> float:
-    """sum_m a_m y^m by Horner's rule, the coefficients given from a_M down
-    to a_0."""
-    acc = 0.0
-    for a in coeffs_top_first:
-        acc = acc * y + a
-    return acc
+def _horner(coeffs_top_first: Sequence[float], ys: Sequence[float]) -> List[float]:
+    """sum_m a_m y^m by Horner's rule at every y of a list, the coefficients
+    given from a_M down to a_0.
+
+    Four points share each pass over the coefficients, and the zero to three
+    left over take one pass each.  Every point's accumulator runs
+    p = p * y + a, rounded at the multiply and at the add as Python floats
+    always are, so its sum is the float sequence of a one-point Horner loop
+    whatever the lane."""
+    out: List[float] = []
+    split = len(ys) - len(ys) % 4
+    for i in range(0, split, 4):
+        y0, y1, y2, y3 = ys[i:i + 4]
+        p0 = p1 = p2 = p3 = 0.0
+        for a in coeffs_top_first:
+            p0 = p0 * y0 + a
+            p1 = p1 * y1 + a
+            p2 = p2 * y2 + a
+            p3 = p3 * y3 + a
+        out += (p0, p1, p2, p3)
+    for y in ys[split:]:
+        p = 0.0
+        for a in coeffs_top_first:
+            p = p * y + a
+        out.append(p)
+    return out
 
 
 def _powers(xs: Sequence[float], p: float) -> List[float]:
@@ -349,7 +370,10 @@ def _lattice_sums(
     every listed degree above; a partial that is zero or not finite leaves
     its degree and every lower one out.  The table is built once per grid,
     so a one-point call may keep a different number of terms than the grid
-    call.
+    call.  The points that take one degree, in any grid order and repeats
+    included, go to _horner together, four to a pass over that degree's
+    head; each point's sum is the float sequence of a one-point Horner loop,
+    so grouping changes no bit and no error bound.
 
     Overflow is a value, not an event: x**s and x**gamma are formed once per
     point, each as inf where it overflows.  At y = inf Horner's first step
@@ -377,9 +401,15 @@ def _lattice_sums(
             limits.append(min(limits[-1], math.exp((log_target - math.log(u)) / m)))
     degrees.reverse()
     limits.reverse()
-    picks = [bisect_left(limits, y) for y in ys]
-    heads = {j: coeffs_top_first[n_top + 1 - degrees[j]:] for j in set(picks)}
-    sums = [(y, scale, scale * _horner(heads[j], y)) for y, scale, j in zip(ys, scales, picks)]
+    groups: Dict[int, List[int]] = {}  # grid positions by the degree they take
+    for i, y in enumerate(ys):
+        groups.setdefault(bisect_left(limits, y), []).append(i)
+    totals = [0.0] * len(ys)
+    for j, positions in groups.items():
+        head = coeffs_top_first[n_top + 1 - degrees[j]:]
+        for i, total in zip(positions, _horner(head, [ys[i] for i in positions])):
+            totals[i] = total
+    sums = [(y, scale, scale * total) for y, scale, total in zip(ys, scales, totals)]
     return (partials[-1] if partials else 0.0), sums
 
 
@@ -425,7 +455,7 @@ def evaluate(sol: SeriesSolution, xs: Sequence[float]) -> List[float]:
     for x, (y, scale, total) in zip(xs, sums):
         # fails on a bound that is not finite, since inf > float max
         if not scale * bound <= min(1e15 * abs(total), sys.float_info.max):
-            size = scale * _horner(map(abs, cs), y)
+            size = scale * _horner([abs(c) for c in cs], [y])[0]
             # rounding is monotone and total sums fewer terms, so
             # |total| <= size: when size is finite, so is total
             if not math.isfinite(size):

@@ -698,6 +698,8 @@ def test_cli_process_prints_version_and_solves(tmp_path):
     [
         (None, "out", EXIT_VALIDATION, "cannot read spec file: "),
         ("not json {", "out", EXIT_VALIDATION, "spec file is not valid JSON: "),
+        (b"\xff", "out", EXIT_VALIDATION, "spec file is not valid JSON: "),
+        ("[" * 100000 + "]" * 100000, "out", EXIT_VALIDATION, "spec file is not valid JSON: "),
         (EXP_SPEC, "afile", EXIT_VALIDATION, "cannot write output: "),
         (dict(EXP_SPEC, options={"c0": "0"}), "out", EXIT_VALIDATION, "c0 must be finite"),
         (dict(EXP_SPEC, Nu="2"), "out", EXIT_VALIDATION, "unknown field 'Nu' in the top level"),
@@ -709,14 +711,16 @@ def test_cli_process_prints_version_and_solves(tmp_path):
         (_tiny_r_spec("0.5", "5e-324"), "out", EXIT_NUMERICAL, "every valid root failed"),
     ],
     ids=[
-        "missing-spec", "not-json", "output-is-a-file", "zero-c0", "unknown-field",
-        "no-sign-change", "one-term-cap", "infinite-exponent", "too-many-points",
+        "missing-spec", "not-json", "not-utf8", "nested-too-deep", "output-is-a-file", "zero-c0",
+        "unknown-field", "no-sign-change", "one-term-cap", "infinite-exponent", "too-many-points",
         "step-count-past-float-range", "zero-step",
     ],
 )
 def test_cli_process_failure_prints_one_error_line(tmp_path, spec, target, code, error):
     path = tmp_path / "spec.json"
-    if spec is not None:
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    elif spec is not None:
         path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     (tmp_path / "afile").write_text("keep")
     done = _run_cli("solve", str(path), "-o", str(tmp_path / target))

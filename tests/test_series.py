@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import sys
 import warnings
@@ -860,12 +861,11 @@ def test_evaluate_matches_list_evaluate(case):
 
 
 def _counting_horner(monkeypatch):
-    calls = []  # the number of coefficients of each call
+    calls = []  # the number of coefficients summed at each point
 
-    def counted(coeffs_top_first, y):
-        coeffs = list(coeffs_top_first)
-        calls.append(len(coeffs))
-        return horner(coeffs, y)
+    def counted(coeffs_top_first, ys):
+        calls.extend([len(coeffs_top_first)] * len(ys))
+        return horner(coeffs_top_first, ys)
 
     horner = series._horner
     monkeypatch.setattr(series, "_horner", counted)
@@ -982,6 +982,50 @@ def test_evaluate_and_residual_sum_only_the_terms_each_point_needs(monkeypatch):
     lengths.clear()
     residual(eq, sol, xs)
     assert sum(lengths) <= 0.45 * len(folded) * len(xs)
+
+
+def _one_point_horner(coeffs_top_first, y):
+    """The one-point Horner loop, kept verbatim as the reference for every
+    lane of series._horner."""
+    acc = 0.0
+    for a in coeffs_top_first:
+        acc = acc * y + a
+    return acc
+
+
+_SPECIAL_COEFFS = (0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.one_of(st.floats(allow_nan=False), st.sampled_from(_SPECIAL_COEFFS)), max_size=40
+    ),
+    ys=st.lists(
+        st.one_of(st.floats(0.0, 10.0), st.sampled_from((0.0, 5e-324, 1e308, math.inf))),
+        max_size=9,
+    ),
+)
+def test_horner_lanes_match_the_one_point_loop(coeffs, ys):
+    # every prefix of the points, so each remainder mod 4 is summed; float.hex
+    # writes every NaN as "nan", so NaN matches NaN
+    for k in range(len(ys) + 1):
+        sums = series._horner(coeffs, ys[:k])
+        assert [v.hex() for v in sums] == [_one_point_horner(coeffs, y).hex() for y in ys[:k]]
+
+
+def test_evaluate_and_residual_on_a_shuffled_grid_with_repeats():
+    # each point's sum is put back at its own position: a shuffled grid with
+    # repeated points gives, point by point, the values of the sorted grid
+    eq = example1()
+    sol = build_coefficients(eq, _valid_gamma(eq), compute_step(eq), x_max=3.0)
+    xs = [0.003 + i * (3.0 - 0.003) / 99 for i in range(100)]
+    grid = xs + xs[::3] + xs[-1:]
+    random.Random(7).shuffle(grid)
+    ordered = sorted(grid)
+    for total in (lambda g: evaluate(sol, g), lambda g: residual(eq, sol, g)):
+        by_x = dict(zip(ordered, total(ordered)))
+        assert [v.hex() for v in total(grid)] == [by_x[x].hex() for x in grid]
 
 
 # -- fractional power rule ----------------------------------------------------
